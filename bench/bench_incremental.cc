@@ -7,7 +7,7 @@
 // re-walk the lattice through the MemoCountProvider, so only
 // never-before-seen queries touch the database. The "full" side does what
 // a process that kept no state must do: rebuild the mining session over
-// the combined window (shard deal + vertical index) and mine it from
+// the combined window (row store + vertical index) and mine it from
 // scratch. Assembling the combined row store happens outside both timers —
 // neither side is billed for data the scenario hands them.
 //

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus hardening passes: the stats regression sentinel
-# across a threads x shards matrix, a trace-validation stage, a profiling
+# across a thread-count matrix, a trace-validation stage, a profiling
 # stage (the pure-observer sentinel across off/sampling/PMU/both plus
 # collapsed-stack validation), the full test suite with the metrics layer
 # compiled out (CORRMINE_METRICS=OFF must stay a working configuration),
 # and a ThreadSanitizer run over the concurrency-sensitive suites (the
-# parallel mining engine, its pool, and the cached count provider). Run
+# parallel mining engine, its pool, and the count providers). Run
 # from the repository root:
 #
 #   scripts/verify.sh                  # everything
@@ -27,7 +27,6 @@
 #   (cd build && ctest -L unit)          # fast unit suites
 #   (cd build && ctest -L differential)  # cross-implementation agreement
 #   (cd build && ctest -L golden)        # paper-table golden snapshots
-#   (cd build && ctest -L sharded)       # K-invariance / sharded core
 #   (cd build && ctest -L metrics)       # observability layer
 #   (cd build && ctest -L trace)         # tracing + trace validation
 #   (cd build && ctest -L incremental)   # border repair / snapshots
@@ -39,11 +38,8 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 (cd build && ctest --output-on-failure -j)
 
-echo "== sharded slice: K-invariance suites =="
-(cd build && ctest --output-on-failure -L sharded)
-
 if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
-  echo "== statsdiff sentinel: threads x shards stats matrix =="
+  echo "== statsdiff sentinel: thread-count stats matrix =="
   # Every configuration's stats must diff clean against the first one:
   # the deterministic section exactly, plus the schedule-independent
   # counter families. statsdiff exits nonzero on any drift.
@@ -52,35 +48,31 @@ if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
   build/tools/corrmine_cli generate quest --baskets 2000 \
     --out "$SDIR/fixture.txt" >/dev/null
   baseline=""
-  for threads in 1 8; do
-    for shards in 1 2 4 7; do
-      stats="$SDIR/stats_t${threads}_s${shards}.json"
-      build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
-        --support-count 100 --cell-fraction 0.26 --max-level 3 \
-        --threads "$threads" --shards "$shards" \
-        --stats-json "$stats" >/dev/null
-      if [[ -z "$baseline" ]]; then
-        baseline="$stats"
-      else
-        build/tools/statsdiff "$baseline" "$stats" \
-          --counters miner.,count_provider.
-      fi
-    done
+  for threads in 1 2 4 8; do
+    stats="$SDIR/stats_t${threads}.json"
+    build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
+      --support-count 100 --cell-fraction 0.26 --max-level 3 \
+      --threads "$threads" --stats-json "$stats" >/dev/null
+    if [[ -z "$baseline" ]]; then
+      baseline="$stats"
+    else
+      build/tools/statsdiff "$baseline" "$stats" \
+        --counters miner.,count_provider.
+    fi
   done
 
   echo "== kernel sentinel: forced-scalar vs dispatched counting =="
   # A SIMD kernel may only change throughput, never an answer: the
   # deterministic section and the kernel.* logical-word counters must be
   # byte-identical between a forced-scalar run and whatever the CPU
-  # dispatcher picked. (kernel.* counters are shard-dependent, so this
-  # stage pins --shards and stays out of the matrix above.)
+  # dispatcher picked.
   build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
     --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 --kernel scalar \
+    --threads 8 --kernel scalar \
     --stats-json "$SDIR/stats_kernel_scalar.json" >/dev/null
   build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
     --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 \
+    --threads 8 \
     --stats-json "$SDIR/stats_kernel_auto.json" >/dev/null
   build/tools/statsdiff "$SDIR/stats_kernel_scalar.json" \
     "$SDIR/stats_kernel_auto.json" \
@@ -96,11 +88,11 @@ if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
   # physically different index layouts).
   build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
     --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 --provider compressed --kernel scalar \
+    --threads 8 --provider compressed --kernel scalar \
     --stats-json "$SDIR/stats_column_scalar.json" >/dev/null
   build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
     --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 --provider compressed \
+    --threads 8 --provider compressed \
     --stats-json "$SDIR/stats_column_auto.json" >/dev/null
   build/tools/statsdiff "$SDIR/stats_column_scalar.json" \
     "$SDIR/stats_column_auto.json" \
@@ -112,7 +104,7 @@ if [[ "${SKIP_STATSDIFF:-0}" != "1" ]]; then
   echo "== trace stage: record + validate a Chrome trace =="
   build/tools/corrmine_cli mine "$SDIR/fixture.txt" \
     --support-count 100 --cell-fraction 0.26 --max-level 3 \
-    --threads 8 --shards 4 --trace-out "$SDIR/run.trace.json" >/dev/null
+    --threads 8 --trace-out "$SDIR/run.trace.json" >/dev/null
   build/tools/statsdiff --validate-trace "$SDIR/run.trace.json"
 fi
 
@@ -131,7 +123,7 @@ if [[ "${SKIP_PROFILE:-0}" != "1" ]]; then
   PDIR=build/profile-out
   rm -rf "$PDIR" && mkdir -p "$PDIR"
   PFLAGS=(--support-count 100 --cell-fraction 0.26 --max-level 3
-          --threads 8 --shards 4)
+          --threads 8)
   build/tools/corrmine_cli generate quest --baskets 2000 \
     --out "$PDIR/fixture.txt" >/dev/null
   build/tools/corrmine_cli mine "$PDIR/fixture.txt" "${PFLAGS[@]}" \
@@ -261,20 +253,16 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
   build/bench/bench_kernels
 
   echo "== bench stage: scheduler scaling gate =="
-  # Parallel-scaling regression gate (DESIGN.md §10): bench_parallel and
-  # bench_sharded CHECK determinism internally; benchgate then enforces the
-  # scaling contract — 3.0x at 8 threads on >= 8 usable cores, scaled to
-  # the cores this machine actually grants (cgroup/affinity-aware), and
-  # <= 10% sharding overhead while K fits the core count — and refreshes
+  # Parallel-scaling regression gate (DESIGN.md §10): bench_parallel
+  # CHECKs determinism internally; benchgate then enforces the scaling
+  # contract — 3.0x at 8 threads on >= 8 usable cores, scaled to the cores
+  # this machine actually grants (cgroup/affinity-aware) — and refreshes
   # BENCH_scheduler.json.
-  cmake --build build -j --target bench_parallel bench_sharded benchgate \
-    >/dev/null
+  cmake --build build -j --target bench_parallel benchgate >/dev/null
   BDIR=build/bench-out
   mkdir -p "$BDIR"
   build/bench/bench_parallel | tee "$BDIR/parallel.txt" | grep -v BENCH_
-  build/bench/bench_sharded | tee "$BDIR/sharded.txt" | grep -v BENCH_
-  build/tools/benchgate --out BENCH_scheduler.json \
-    "$BDIR/parallel.txt" "$BDIR/sharded.txt"
+  build/tools/benchgate --out BENCH_scheduler.json "$BDIR/parallel.txt"
 
   if [[ "${SKIP_INCREMENTAL:-0}" != "1" ]]; then
     echo "== bench stage: incremental repair gate =="
@@ -318,14 +306,14 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== TSan: parallel engine suites =="
   cmake -B build-tsan -S . -DCORRMINE_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j \
-    --target thread_pool_test miner_test batch_tables_test \
-    count_provider_cache_test sharded_database_test trace_test \
-    profiler_test kernel_differential_test scheduler_determinism_test \
-    incremental_differential_test border_state_test \
-    differential_miners_test counting_column_test outofcore_test >/dev/null
+    --target thread_pool_test miner_test batch_tables_test session_test \
+    trace_test profiler_test kernel_differential_test \
+    scheduler_determinism_test incremental_differential_test \
+    border_state_test differential_miners_test counting_column_test \
+    outofcore_test >/dev/null
   (cd build-tsan &&
    ctest --output-on-failure \
-     -R '^(thread_pool_test|miner_test|batch_tables_test|count_provider_cache_test|sharded_database_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
+     -R '^(thread_pool_test|miner_test|batch_tables_test|session_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
 fi
 
 echo "verify: OK"

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace corrmine {
@@ -59,7 +60,10 @@ StatusOr<double> ParseDouble(std::string_view token) {
   if (end != buf.c_str() + buf.size()) {
     return Status::InvalidArgument("invalid double token: " + buf);
   }
-  if (errno == ERANGE) {
+  // strtod also reports ERANGE on underflow, returning a subnormal or zero;
+  // those are exact round-trips of what "%.17g" prints (tiny p-values), so
+  // only overflow to infinity is an error.
+  if (errno == ERANGE && std::isinf(value)) {
     return Status::OutOfRange("double out of range: " + buf);
   }
   return value;

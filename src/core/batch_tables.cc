@@ -1,7 +1,6 @@
 #include "core/batch_tables.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -64,24 +63,23 @@ Status ValidateBatchArgs(const std::vector<Itemset>& candidates,
   return Status::OK();
 }
 
-/// Merges the per-shard pattern maps in shard order and assembles one
-/// sparse table per candidate. `item_count` answers the global marginal
-/// O(i) — exact per-shard sums for the sharded overload.
+/// Merges the per-slot pattern maps in slot order and assembles one sparse
+/// table per candidate, with marginals O(i) from `db`.
 StatusOr<std::vector<SparseContingencyTable>> AssembleTables(
     const std::vector<Itemset>& candidates,
-    const std::vector<PatternCounts>& shard_counts, uint64_t num_baskets,
-    const std::function<uint64_t(ItemId)>& item_count) {
+    const std::vector<PatternCounts>& slot_counts,
+    const TransactionDatabase& db) {
   std::vector<SparseContingencyTable> tables;
   tables.reserve(candidates.size());
   for (size_t c = 0; c < candidates.size(); ++c) {
     const Itemset& s = candidates[c];
     std::unordered_map<uint32_t, uint64_t> merged;
-    for (const PatternCounts& counts : shard_counts) {
+    for (const PatternCounts& counts : slot_counts) {
       for (const auto& [mask, count] : counts[c]) merged[mask] += count;
     }
     std::vector<uint64_t> item_counts(s.size());
     for (size_t j = 0; j < s.size(); ++j) {
-      item_counts[j] = item_count(s.item(j));
+      item_counts[j] = db.ItemCount(s.item(j));
     }
     std::vector<SparseContingencyTable::Cell> cells;
     cells.reserve(merged.size());
@@ -89,7 +87,7 @@ StatusOr<std::vector<SparseContingencyTable>> AssembleTables(
       cells.push_back(SparseContingencyTable::Cell{mask, count});
     }
     // Mask order makes the cell list independent of hash-map iteration
-    // order — and therefore of the shard split.
+    // order — and therefore of the basket split.
     std::sort(cells.begin(), cells.end(),
               [](const SparseContingencyTable::Cell& a,
                  const SparseContingencyTable::Cell& b) {
@@ -98,7 +96,7 @@ StatusOr<std::vector<SparseContingencyTable>> AssembleTables(
     CORRMINE_ASSIGN_OR_RETURN(
         SparseContingencyTable table,
         SparseContingencyTable::FromCells(
-            s, IndependenceModel(num_baskets, std::move(item_counts)),
+            s, IndependenceModel(db.num_baskets(), std::move(item_counts)),
             std::move(cells)));
     tables.push_back(std::move(table));
   }
@@ -141,44 +139,7 @@ StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
         return Status::OK();
       }));
 
-  return AssembleTables(candidates, slot_counts, db.num_baskets(),
-                        [&db](ItemId item) { return db.ItemCount(item); });
-}
-
-StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
-    const ShardedTransactionDatabase& db,
-    const std::vector<Itemset>& candidates, int num_threads) {
-  CORRMINE_RETURN_NOT_OK(ValidateBatchArgs(candidates, db.num_baskets(),
-                                           db.num_items(), num_threads));
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "batch_tables.build");
-  registry.GetCounter("batch_tables.candidates")->Add(candidates.size());
-  registry.GetCounter("batch_tables.baskets")->Add(db.num_baskets());
-
-  // The database shards are the parallel unit; each task projects one
-  // shard's baskets onto every candidate into private maps.
-  const size_t num_shards = db.num_shards();
-  std::vector<PatternCounts> shard_counts(num_shards);
-  for (PatternCounts& counts : shard_counts) {
-    counts.resize(candidates.size());
-  }
-
-  const int threads = ThreadPool::ResolveThreadCount(num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads - 1);
-  CORRMINE_RETURN_NOT_OK(ParallelFor(
-      pool.get(), num_shards, /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t shard = begin; shard < end; ++shard) {
-          const TransactionDatabase& part = db.shard(shard);
-          CountBasketRange(part, candidates, 0, part.num_baskets(),
-                           &shard_counts[shard]);
-        }
-        return Status::OK();
-      }));
-
-  return AssembleTables(candidates, shard_counts, db.num_baskets(),
-                        [&db](ItemId item) { return db.ItemCount(item); });
+  return AssembleTables(candidates, slot_counts, db);
 }
 
 }  // namespace corrmine

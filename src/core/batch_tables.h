@@ -5,7 +5,6 @@
 
 #include "common/status_or.h"
 #include "core/contingency_table.h"
-#include "itemset/sharded_database.h"
 #include "itemset/transaction_database.h"
 
 namespace corrmine {
@@ -22,22 +21,13 @@ namespace corrmine {
 /// by mask. Candidates must be non-empty, of size <=
 /// SparseContingencyTable::kMaxItems, with in-range items.
 ///
-/// `num_threads` shards the basket scan: each worker accumulates private
-/// per-candidate pattern counts over its basket range and a sequential
-/// reduction sums them in shard order, so the result is identical for any
+/// `num_threads` splits the basket scan: each worker accumulates private
+/// per-candidate pattern counts over its basket ranges and a sequential
+/// reduction sums them in slot order, so the result is identical for any
 /// thread count (1 = sequential, 0 = hardware concurrency).
 StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
     const TransactionDatabase& db, const std::vector<Itemset>& candidates,
     int num_threads = 1);
-
-/// Shard-native overload: each database shard is counted by one task into
-/// private pattern maps, merged in shard order. The shard partition is the
-/// parallel unit (no re-splitting of the basket axis), and per the
-/// K-invariance contract (DESIGN.md §7) the summed tables are identical to
-/// the monolithic build for any K and any thread count.
-StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
-    const ShardedTransactionDatabase& db,
-    const std::vector<Itemset>& candidates, int num_threads = 1);
 
 }  // namespace corrmine
 

@@ -200,10 +200,8 @@ Status IncrementalMiner::RetireOldest() {
   chunks_.pop_front();
   CORRMINE_RETURN_NOT_OK(ApplyRetiredChunk(&state_, retired));
   // Rebuild the session over the surviving window. The item space stays
-  // monotone (state_.num_items), so memo entries and snapshots never dangle;
-  // the round-robin layout re-deals, which the K-invariance contract
-  // (DESIGN.md §7) makes unobservable in every mined answer.
-  ShardedTransactionDatabase db(state_.num_items, session_->num_shards());
+  // monotone (state_.num_items), so memo entries and snapshots never dangle.
+  TransactionDatabase db(state_.num_items);
   db.dictionary() = session_->dictionary();
   for (const TransactionDatabase& chunk : chunks_) {
     for (size_t row = 0; row < chunk.num_baskets(); ++row) {
@@ -212,7 +210,7 @@ Status IncrementalMiner::RetireOldest() {
   }
   CORRMINE_ASSIGN_OR_RETURN(
       MiningSession fresh,
-      MiningSession::FromShardedDatabase(std::move(db), session_options_));
+      MiningSession::FromDatabase(std::move(db), session_options_));
   session_.emplace(std::move(fresh));
   return Status::OK();
 }

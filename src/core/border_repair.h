@@ -89,9 +89,8 @@ StatusOr<MiningResult> RepairBorder(const MiningSession& session,
 /// Owns the full incremental-mining loop: a window of chunks (chunk 0 is
 /// the base dataset), the live MiningSession over their concatenation, and
 /// the BorderState being repaired. Append pushes a tail chunk into the
-/// session's bitmaps in place; RetireOldest pops the head chunk and
-/// rebuilds the session over the surviving window (the round-robin layout
-/// changes, but the K-invariance contract makes that unobservable).
+/// session's index in place; RetireOldest pops the head chunk and
+/// rebuilds the session over the surviving window.
 /// Repair() after any sequence of the two returns the exact mining result
 /// for the current window.
 class IncrementalMiner {

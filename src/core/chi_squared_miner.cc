@@ -505,11 +505,11 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     // an ordered evaluation pipeline (support test, then chi-squared, into
     // index-addressed slots) whose single-threaded consumer commits
     // verdicts *in stream order* while later chunks are still evaluating —
-    // so the output is byte-identical whatever the thread or shard count,
+    // so the output is byte-identical whatever the thread count or provider,
     // including the inline single-threaded path.
     //
     // Materializing CAND trades the old 32-MB streaming discipline for the
-    // single-batch contract that sharded/remote providers need (issuing one
+    // single-batch contract that batching providers need (issuing one
     // round trip per level instead of one per candidate); CAND at level k
     // is bounded by the NOTSIG join, which pruning keeps far below the
     // raw C(|I|, k) lattice width.

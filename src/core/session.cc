@@ -8,71 +8,36 @@
 #include "common/profiler.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "io/sharded_loader.h"
 #include "io/transaction_io.h"
 
 namespace corrmine {
-
-namespace {
-
-Status ValidateSessionOptions(const SessionOptions& options,
-                              size_t resolved_shards) {
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  if (options.num_shards < 0) {
-    return Status::InvalidArgument("num_shards must be >= 0");
-  }
-  if (options.prefix_cache && resolved_shards != 1) {
-    return Status::InvalidArgument(
-        "prefix_cache requires num_shards == 1 (the cache decorates a "
-        "single whole-database index)");
-  }
-  if (options.prefix_cache &&
-      options.provider != SessionProvider::kBitmap) {
-    return Status::InvalidArgument(
-        "prefix_cache requires the bitmap provider (the cache memoizes "
-        "whole-database prefix bitmaps)");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 MiningSession::MiningSession(MiningSession&&) noexcept = default;
 MiningSession& MiningSession::operator=(MiningSession&&) noexcept = default;
 MiningSession::~MiningSession() = default;
 
-MiningSession::MiningSession(ShardedTransactionDatabase db,
+MiningSession::MiningSession(TransactionDatabase db,
                              const SessionOptions& options)
-    : db_(std::move(db)),
+    : db_(std::make_unique<TransactionDatabase>(std::move(db))),
       provider_kind_(options.provider),
       threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
       metrics_(options.metrics) {
-  TraceScope span("session.open", -1,
-                  static_cast<int64_t>(db_.num_shards()),
-                  static_cast<int64_t>(db_.num_baskets()));
+  TraceScope span("session.open", -1, -1,
+                  static_cast<int64_t>(db_->num_baskets()));
   ProfileScope profile("io.load");
   switch (provider_kind_) {
     case SessionProvider::kBitmap:
-      sharded_provider_ = std::make_unique<ShardedCountProvider>(db_);
-      active_provider_ = sharded_provider_.get();
+      bitmap_provider_ = std::make_unique<BitmapCountProvider>(*db_);
+      provider_ = bitmap_provider_.get();
       break;
     case SessionProvider::kCompressed:
-      compressed_provider_ = std::make_unique<CompressedCountProvider>(db_);
-      active_provider_ = compressed_provider_.get();
+      compressed_provider_ = std::make_unique<CompressedCountProvider>(*db_);
+      provider_ = compressed_provider_.get();
       break;
     case SessionProvider::kScan:
-      scan_provider_ = std::make_unique<ShardedScanCountProvider>(db_);
-      active_provider_ = scan_provider_.get();
+      scan_provider_ = std::make_unique<ScanCountProvider>(*db_);
+      provider_ = scan_provider_.get();
       break;
-  }
-  if (options.prefix_cache) {
-    // Validated by the factories: the bitmap strategy with exactly one
-    // shard, whose vertical index therefore covers the whole database.
-    cached_ =
-        std::make_unique<CachedCountProvider>(sharded_provider_->shard_index(0));
-    active_provider_ = cached_.get();
   }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   metrics().GetGauge("mem.peak_rss_bytes")
@@ -81,9 +46,6 @@ MiningSession::MiningSession(ShardedTransactionDatabase db,
 
 StatusOr<MiningSession> MiningSession::Open(const std::string& path,
                                             const SessionOptions& options) {
-  const size_t shards =
-      ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options, shards));
   if (options.named_items) {
     std::ifstream file(path);
     if (!file) return Status::IOError("cannot open " + path);
@@ -92,27 +54,19 @@ StatusOr<MiningSession> MiningSession::Open(const std::string& path,
     if (file.bad()) return Status::IOError("error reading " + path);
     CORRMINE_ASSIGN_OR_RETURN(TransactionDatabase db,
                               io::ParseNamedTransactions(content.str()));
-    return MiningSession(ShardedTransactionDatabase::Partition(db, shards),
-                         options);
+    return FromDatabase(std::move(db), options);
   }
   CORRMINE_ASSIGN_OR_RETURN(
-      ShardedTransactionDatabase db,
-      io::LoadTransactionFileSharded(path, shards, options.num_items_hint));
-  return MiningSession(std::move(db), options);
+      TransactionDatabase db,
+      io::LoadTransactionFile(path, options.num_items_hint));
+  return FromDatabase(std::move(db), options);
 }
 
 StatusOr<MiningSession> MiningSession::FromDatabase(
-    const TransactionDatabase& db, const SessionOptions& options) {
-  const size_t shards =
-      ShardedTransactionDatabase::ResolveShardCount(options.num_shards);
-  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options, shards));
-  return MiningSession(ShardedTransactionDatabase::Partition(db, shards),
-                       options);
-}
-
-StatusOr<MiningSession> MiningSession::FromShardedDatabase(
-    ShardedTransactionDatabase db, const SessionOptions& options) {
-  CORRMINE_RETURN_NOT_OK(ValidateSessionOptions(options, db.num_shards()));
+    TransactionDatabase db, const SessionOptions& options) {
+  if (options.num_threads < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0");
+  }
   return MiningSession(std::move(db), options);
 }
 
@@ -126,12 +80,12 @@ void MiningSession::PublishMemoryGauges() const {
   MetricsRegistry& registry = metrics();
   registry.GetGauge("mem.peak_rss_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
-  if (sharded_provider_ != nullptr) {
-    registry.GetGauge("mem.shard_index_bytes")
-        ->Set(static_cast<int64_t>(sharded_provider_->IndexMemoryBytes()));
+  if (bitmap_provider_ != nullptr) {
+    registry.GetGauge("mem.index_bytes")
+        ->Set(static_cast<int64_t>(bitmap_provider_->IndexMemoryBytes()));
   }
   if (compressed_provider_ != nullptr) {
-    registry.GetGauge("mem.shard_index_bytes")
+    registry.GetGauge("mem.index_bytes")
         ->Set(static_cast<int64_t>(compressed_provider_->IndexMemoryBytes()));
     const ColumnStorageStats storage = compressed_provider_->StorageStats();
     registry.GetGauge("column.array_containers")
@@ -143,74 +97,65 @@ void MiningSession::PublishMemoryGauges() const {
     registry.GetGauge("column.payload_bytes")
         ->Set(static_cast<int64_t>(storage.payload_bytes));
   }
-  if (cached_ != nullptr) {
-    registry.GetGauge("mem.cache_bytes")
-        ->Set(static_cast<int64_t>(cached_->MemoryBytes()));
-  }
 }
 
 Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
   TraceScope span("session.append", -1,
                   static_cast<int64_t>(chunk.num_baskets()),
                   static_cast<int64_t>(chunk.num_items()));
-  if (chunk.num_items() > db_.num_items()) {
-    CORRMINE_RETURN_NOT_OK(db_.GrowItemSpace(chunk.num_items()));
+  if (chunk.num_items() > db_->num_items()) {
+    CORRMINE_RETURN_NOT_OK(db_->GrowItemSpace(chunk.num_items()));
   }
   for (size_t row = 0; row < chunk.num_baskets(); ++row) {
-    CORRMINE_RETURN_NOT_OK(db_.AddBasket(chunk.basket(row)));
+    CORRMINE_RETURN_NOT_OK(db_->AddBasket(chunk.basket(row)));
   }
-  if (sharded_provider_ != nullptr) sharded_provider_->AppendFrom(db_);
-  if (compressed_provider_ != nullptr) compressed_provider_->AppendFrom(db_);
-  // The scan provider reads db_ live — nothing to catch up.
-  if (cached_ != nullptr) cached_->AdvanceEpoch();
+  if (bitmap_provider_ != nullptr) bitmap_provider_->AppendFrom(*db_);
+  if (compressed_provider_ != nullptr) compressed_provider_->AppendFrom(*db_);
+  // The scan provider reads *db_ live — nothing to catch up.
   PublishMemoryGauges();
   return Status::OK();
 }
 
 StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
-  TraceScope span("session.mine", -1, static_cast<int64_t>(db_.num_shards()),
-                  static_cast<int64_t>(threads_));
+  TraceScope span("session.mine", -1, -1, static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   if (options.metrics == nullptr) options.metrics = metrics_;
-  auto result = MineCorrelations(provider(), db_.num_items(), options);
+  auto result = MineCorrelations(provider(), db_->num_items(), options);
   PublishMemoryGauges();
   return result;
 }
 
 StatusOr<MiningResult> MiningSession::MineRandomWalk(
     RandomWalkOptions options) const {
-  TraceScope span("session.mine_random_walk", -1,
-                  static_cast<int64_t>(db_.num_shards()),
+  TraceScope span("session.mine_random_walk", -1, -1,
                   static_cast<int64_t>(threads_));
   options.miner.num_threads = threads_;
   options.miner.pool = pool_.get();
   if (options.miner.metrics == nullptr) options.miner.metrics = metrics_;
-  auto result = MineCorrelationsRandomWalk(provider(), db_.num_items(), options);
+  auto result = MineCorrelationsRandomWalk(provider(), db_->num_items(), options);
   PublishMemoryGauges();
   return result;
 }
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
     AprioriOptions options) const {
-  TraceScope span("session.mine_frequent", -1,
-                  static_cast<int64_t>(db_.num_shards()),
+  TraceScope span("session.mine_frequent", -1, -1,
                   static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
-  auto result = MineFrequentItemsets(provider(), db_.num_items(), options);
+  auto result = MineFrequentItemsets(provider(), db_->num_items(), options);
   PublishMemoryGauges();
   return result;
 }
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequentEclat(
     EclatOptions options) const {
-  TraceScope span("session.mine_frequent_eclat", -1,
-                  static_cast<int64_t>(db_.num_shards()),
+  TraceScope span("session.mine_frequent_eclat", -1, -1,
                   static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
-  auto result = MineFrequentItemsetsEclat(db_, options);
+  auto result = MineFrequentItemsetsEclat(*db_, options);
   PublishMemoryGauges();
   return result;
 }

@@ -3,13 +3,14 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/status_or.h"
 #include "core/chi_squared_miner.h"
 #include "core/random_walk_miner.h"
+#include "io/transaction_io.h"
 #include "itemset/count_provider.h"
 #include "itemset/counting_column.h"
-#include "itemset/sharded_database.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
 
@@ -22,15 +23,15 @@ class ThreadPool;
 /// answers are byte-identical across strategies; only cost, memory, and
 /// which kernel counters tick differ.
 enum class SessionProvider {
-  /// Per-shard uncompressed bitmap indexes (ShardedCountProvider) — the
-  /// default: fastest on dense row spaces, O(items x rows / 8) memory.
+  /// Uncompressed per-item bitmaps (BitmapCountProvider) — the default:
+  /// fastest on dense row spaces, O(items x rows / 8) memory.
   kBitmap = 0,
-  /// Per-shard hybrid counting columns (CompressedCountProvider) — adaptive
+  /// Hybrid counting columns (CompressedCountProvider) — adaptive
   /// array/dense/run containers, memory tracks occupancy instead of the
-  /// rectangle, and the same storage the out-of-core shard files hold.
+  /// rectangle, and the same storage the out-of-core partition files hold.
   kCompressed = 1,
-  /// No index at all (ShardedScanCountProvider) — re-scans the row store
-  /// per batch; the paper's full-pass baseline cost model.
+  /// No index at all (ScanCountProvider) — re-scans the row store per
+  /// batch; the paper's full-pass baseline cost model.
   kScan = 2,
 };
 
@@ -42,20 +43,7 @@ struct SessionOptions {
   /// it to each run, so repeated runs don't pay thread spawn/join.
   int num_threads = 1;
 
-  /// Database shards K (1 = monolithic layout, 0 = one per hardware
-  /// thread). Per the K-invariance contract (DESIGN.md §7) every mined
-  /// answer is byte-identical for any K; only cost and memory locality
-  /// change.
-  int num_shards = 1;
-
-  /// Memoize prefix-intersection bitmaps (CachedCountProvider) on top of
-  /// the counting index. Only available with num_shards == 1 — the cache
-  /// decorates a single whole-database vertical index, and its cost
-  /// counters are pinned by golden tests to the unsharded AND-chain shape.
-  bool prefix_cache = false;
-
-  /// Counting strategy to build. prefix_cache additionally requires
-  /// kBitmap (the cache decorates a whole-database bitmap index).
+  /// Counting strategy to build.
   SessionProvider provider = SessionProvider::kBitmap;
 
   /// Text inputs hold word tokens, not integer ids (Open only).
@@ -70,29 +58,23 @@ struct SessionOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-/// One place that owns everything a mining run needs — the sharded dataset,
-/// the counting provider (with optional prefix cache), the thread pool, and
-/// the metrics registry — so front ends (the CLI, tests, benchmarks) stop
+/// One place that owns everything a mining run needs — the row store, one
+/// counting provider built over it, the thread pool, and the metrics
+/// registry (DESIGN.md §7) — so front ends (the CLI, tests, benchmarks) stop
 /// hand-assembling provider/pool/option plumbing. Construction resolves the
 /// 0-means-auto conventions once; every Mine* method lends the session's
 /// pool to the run and wires the resolved thread count through, so results
 /// are identical to standalone calls with the same settings.
 class MiningSession {
  public:
-  /// Loads `path` (auto-detected CMB1 binary or text, io/format_detect.h)
-  /// straight into the session's K-shard layout. Named-item text inputs are
-  /// parsed through the dictionary first, then partitioned.
+  /// Loads `path` (auto-detected CMB1 binary or text, io/format_detect.h).
+  /// Named-item text inputs are parsed through the dictionary.
   static StatusOr<MiningSession> Open(const std::string& path,
                                       const SessionOptions& options = {});
 
-  /// Adopts an already-built database, partitioning it into K shards.
-  static StatusOr<MiningSession> FromDatabase(const TransactionDatabase& db,
+  /// Adopts an already-built database (moved in; pass a copy to keep one).
+  static StatusOr<MiningSession> FromDatabase(TransactionDatabase db,
                                               const SessionOptions& options = {});
-
-  /// Adopts an already-sharded database as-is (its K wins over
-  /// options.num_shards).
-  static StatusOr<MiningSession> FromShardedDatabase(
-      ShardedTransactionDatabase db, const SessionOptions& options = {});
 
   // Out-of-line so unique_ptr<ThreadPool> can destroy a complete type.
   MiningSession(MiningSession&&) noexcept;
@@ -104,13 +86,11 @@ class MiningSession {
   /// `options` are the caller's.
   StatusOr<MiningResult> Mine(MinerOptions options = {}) const;
 
-  /// Delta ingestion: appends `chunk`'s baskets in order (round-robin
-  /// placement continues where loading left off), growing the item space to
-  /// cover chunk.num_items() when the delta introduces new items. The
-  /// per-shard vertical indexes are caught up in place — no rebuild — and
-  /// the prefix cache's epoch advances so no stale count survives. After
-  /// the call every count is exactly what a fresh session over base+delta
-  /// would produce. Must not race with Mine* calls.
+  /// Delta ingestion: appends `chunk`'s baskets in order, growing the item
+  /// space to cover chunk.num_items() when the delta introduces new items.
+  /// The provider's index is caught up in place — no rebuild. After the
+  /// call every count is exactly what a fresh session over base+delta would
+  /// produce. Must not race with Mine* calls.
   Status AppendBatch(const TransactionDatabase& chunk);
 
   /// The random-walk border sampler, same wiring as Mine.
@@ -121,56 +101,63 @@ class MiningSession {
   StatusOr<std::vector<FrequentItemset>> MineFrequent(
       AprioriOptions options = {}) const;
 
-  /// Shard-native Eclat over the session's database.
+  /// Eclat over the session's database.
   StatusOr<std::vector<FrequentItemset>> MineFrequentEclat(
       EclatOptions options = {}) const;
 
-  const ShardedTransactionDatabase& database() const { return db_; }
-  /// The counting strategy every Mine* call uses (the prefix cache when
-  /// enabled, else the selected provider).
-  const CountProvider& provider() const { return *active_provider_; }
+  const TransactionDatabase& database() const { return *db_; }
+  /// The counting strategy every Mine* call uses.
+  const CountProvider& provider() const { return *provider_; }
   /// The strategy this session was built with.
   SessionProvider provider_kind() const { return provider_kind_; }
-  /// Non-null only when SessionOptions::prefix_cache was set.
-  const CachedCountProvider* cache() const { return cached_.get(); }
-  CachedCountProvider* cache() { return cached_.get(); }
 
-  size_t num_shards() const { return db_.num_shards(); }
   /// Resolved thread count (the 0-means-auto convention already applied).
   int num_threads() const { return threads_; }
   /// The session's lending pool; nullptr when running sequentially.
   ThreadPool* pool() const { return pool_.get(); }
   MetricsRegistry& metrics() const;
 
-  ItemId num_items() const { return db_.num_items(); }
-  uint64_t num_baskets() const { return db_.num_baskets(); }
-  const ItemDictionary& dictionary() const { return db_.dictionary(); }
-
-  /// Monolithic copy in original basket order, for consumers that need a
-  /// contiguous row store (e.g. the permutation independence test).
-  TransactionDatabase Flatten() const { return db_.Flatten(); }
+  ItemId num_items() const { return db_->num_items(); }
+  uint64_t num_baskets() const { return db_->num_baskets(); }
+  const ItemDictionary& dictionary() const { return db_->dictionary(); }
 
  private:
-  MiningSession(ShardedTransactionDatabase db, const SessionOptions& options);
+  MiningSession(TransactionDatabase db, const SessionOptions& options);
 
-  /// Refreshes the "mem.*" gauges (peak RSS, shard-index bytes, cache bytes)
-  /// in the session's registry; called after every Mine* run.
+  /// Refreshes the "mem.*" gauges (peak RSS, index bytes) in the session's
+  /// registry; called after every Mine* run.
   void PublishMemoryGauges() const;
 
-  ShardedTransactionDatabase db_;
-  // Exactly one of the three strategy members is built (provider_kind_);
-  // active_provider_ points at it, or at cached_ when the cache decorates
-  // the bitmap strategy.
-  std::unique_ptr<ShardedCountProvider> sharded_provider_;
+  // Heap-held so the row store never moves: the scan provider reads it
+  // through a reference that must survive moves of the session.
+  std::unique_ptr<TransactionDatabase> db_;
+  // Exactly one strategy member is built (provider_kind_); provider_ points
+  // at it.
+  std::unique_ptr<BitmapCountProvider> bitmap_provider_;
   std::unique_ptr<CompressedCountProvider> compressed_provider_;
-  std::unique_ptr<ShardedScanCountProvider> scan_provider_;
-  std::unique_ptr<CachedCountProvider> cached_;
-  const CountProvider* active_provider_ = nullptr;
+  std::unique_ptr<ScanCountProvider> scan_provider_;
+  const CountProvider* provider_ = nullptr;
   SessionProvider provider_kind_ = SessionProvider::kBitmap;
   std::unique_ptr<ThreadPool> pool_;
   int threads_ = 1;
   MetricsRegistry* metrics_ = nullptr;
+
+  // Benchmark compat block: perfbench/harness.cc is the only caller of the
+  // three names below; the block goes at the next benchmark revision.
+ public:
+  static StatusOr<MiningSession> FromShardedDatabase(
+      TransactionDatabase db, const SessionOptions& options) {
+    return FromDatabase(std::move(db), options);
+  }
 };
+using ShardedTransactionDatabase = TransactionDatabase;
+namespace io {
+inline StatusOr<TransactionDatabase> LoadTransactionFileSharded(
+    const std::string& path, size_t num_shards) {
+  if (num_shards == 1) return LoadTransactionFile(path);
+  return Status::InvalidArgument("num_shards must be 1: sharding was removed");
+}
+}  // namespace io  (end of the benchmark compat block)
 
 }  // namespace corrmine
 

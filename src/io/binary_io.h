@@ -36,8 +36,7 @@ StatusOr<TransactionDatabase> DecodeBinaryTransactions(
 
 /// Streaming decode: validates the header, stores the item-space size into
 /// `*num_items`, then invokes `sink` once per basket in file order — the
-/// primitive behind both DecodeBinaryTransactions and the sharded loader,
-/// which routes records into shards without a monolithic intermediate.
+/// primitive behind DecodeBinaryTransactions.
 /// `*num_items` is set before the first sink call. The first non-OK status
 /// from `sink` aborts the decode.
 Status DecodeBinaryTransactionsInto(

@@ -1,10 +1,14 @@
 #include "io/transaction_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "common/string_util.h"
+#include "io/binary_io.h"
+#include "io/chunked_io.h"
+#include "io/format_detect.h"
 
 namespace corrmine::io {
 
@@ -77,6 +81,35 @@ StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
                                                 ItemId num_items_hint) {
   CORRMINE_ASSIGN_OR_RETURN(ParsedLines parsed, ParseIdLines(text));
   return BuildDatabase(std::move(parsed), num_items_hint);
+}
+
+StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
+                                                  ItemId num_items_hint) {
+  CORRMINE_ASSIGN_OR_RETURN(TransactionFileFormat format,
+                            DetectTransactionFileFormat(path));
+  if (format == TransactionFileFormat::kText) {
+    return ReadTransactionFile(path, num_items_hint);
+  }
+  CORRMINE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  // The segment headers carry the item spaces, so one cheap header walk
+  // fixes the global space (the max over segments, floored to 1 so an empty
+  // file still yields a valid database) and records then stream straight
+  // into the row store. Multi-segment files (delta chunks appended by
+  // `ingest`) load as the concatenation of their segments.
+  CORRMINE_ASSIGN_OR_RETURN(std::vector<TransactionChunkInfo> chunks,
+                            ListTransactionChunks(bytes));
+  ItemId num_items = 1;
+  for (const TransactionChunkInfo& chunk : chunks) {
+    num_items = std::max(num_items, chunk.num_items);
+  }
+  TransactionDatabase db(num_items);
+  ItemId decoded_items = 0;
+  CORRMINE_RETURN_NOT_OK(DecodeChunkedTransactionsInto(
+      bytes, &decoded_items, nullptr,
+      [&](std::vector<ItemId> basket) -> Status {
+        return db.AddBasket(std::move(basket));
+      }));
+  return db;
 }
 
 StatusOr<TransactionDatabase> ReadTransactionFile(const std::string& path,

@@ -15,9 +15,16 @@ namespace corrmine::io {
 /// non-negative integer item ids. Returns nullopt for comment lines
 /// (leading '#'); otherwise the basket, which is empty for blank lines.
 /// `line_no` is used in error messages only. Shared by the whole-file
-/// readers below and the streaming sharded loader (io/sharded_loader.h).
+/// readers below and the streaming reader (io/stream_reader.h).
 StatusOr<std::optional<std::vector<ItemId>>> ParseTransactionLine(
     std::string_view line, size_t line_no);
+
+/// Unified load path: auto-detects the on-disk format (CMB1 binary, possibly
+/// chunked, vs. text — io/format_detect.h) and reads `path` into one
+/// database. `num_items_hint` floors the item space for the text format;
+/// the binary segment headers are authoritative for their own item space.
+StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
+                                                  ItemId num_items_hint = 0);
 
 /// Reads basket data in the conventional transaction-file format: one basket
 /// per line, whitespace-separated non-negative integer item ids. Blank lines

@@ -14,8 +14,8 @@ namespace corrmine {
 
 namespace {
 
-/// Group-block granularity of the batch morsels: one (shard, block) task
-/// covers up to this many plan groups, matching ShardedCountProvider.
+/// Group-block granularity of the batch morsels: one (source, block) task
+/// covers up to this many plan groups.
 constexpr size_t kColumnGroupBlock = 64;
 
 /// Number of (start, length-1) runs in a sorted offset sequence.
@@ -859,23 +859,9 @@ const CountingColumn& CompressedVerticalIndex::column(ItemId item) const {
 }
 
 CompressedCountProvider::CompressedCountProvider(const TransactionDatabase& db)
-    : num_rows_total_(db.num_baskets()) {
-  owned_.emplace_back(db);
-  sources_.push_back(&owned_.front());
-}
-
-CompressedCountProvider::CompressedCountProvider(
-    const ShardedTransactionDatabase& db)
-    : num_rows_total_(db.num_baskets()) {
-  owned_.reserve(db.num_shards());
-  for (size_t k = 0; k < db.num_shards(); ++k) {
-    owned_.emplace_back(db.shard(k));
-  }
-  sources_.reserve(owned_.size());
-  for (const CompressedVerticalIndex& index : owned_) {
-    sources_.push_back(&index);
-  }
-}
+    : owned_(std::make_unique<CompressedVerticalIndex>(db)),
+      sources_{owned_.get()},
+      num_rows_total_(db.num_baskets()) {}
 
 CompressedCountProvider::CompressedCountProvider(
     std::vector<const ColumnSource*> sources)
@@ -885,23 +871,15 @@ CompressedCountProvider::CompressedCountProvider(
   }
 }
 
-void CompressedCountProvider::AppendFrom(const ShardedTransactionDatabase& db) {
-  CORRMINE_CHECK(!owned_.empty())
+void CompressedCountProvider::AppendFrom(const TransactionDatabase& db) {
+  CORRMINE_CHECK(owned_ != nullptr)
       << "AppendFrom is unavailable for externally owned column sources";
-  CORRMINE_CHECK(db.num_shards() == owned_.size())
-      << "AppendFrom across a different shard layout";
-  for (size_t k = 0; k < owned_.size(); ++k) {
-    owned_[k].AppendFrom(db.shard(k), owned_[k].num_baskets());
-  }
+  owned_->AppendFrom(db, owned_->num_baskets());
   num_rows_total_ = db.num_baskets();
 }
 
 uint64_t CompressedCountProvider::IndexMemoryBytes() const {
-  uint64_t bytes = 0;
-  for (const CompressedVerticalIndex& index : owned_) {
-    bytes += index.MemoryBytes();
-  }
-  return bytes;
+  return owned_ != nullptr ? owned_->MemoryBytes() : 0;
 }
 
 ColumnStorageStats CompressedCountProvider::StorageStats() const {
@@ -930,40 +908,40 @@ void CompressedCountProvider::CountAllPresentBatchImpl(
     std::span<const Itemset> queries, std::span<uint64_t> counts,
     ThreadPool* pool) const {
   const size_t num_queries = queries.size();
-  const size_t num_shards = sources_.size();
-  // Prefix-blocked column execution mirroring ShardedCountProvider: one
-  // plan from the query stream, (shard x group-block) morsels on the pool,
-  // per-shard partial sums fanned in shard order — exact integers for any
-  // thread count or morsel schedule, so K-invariance holds by construction.
+  const size_t num_sources = sources_.size();
+  // Prefix-blocked column execution: one plan from the query stream,
+  // (source x group-block) morsels on the pool, per-source partial sums
+  // fanned in source order — exact integers for any thread count or morsel
+  // schedule.
   const BlockedCountPlan plan = BlockedCountPlan::Build(queries);
   const size_t blocks =
       (plan.groups.size() + kColumnGroupBlock - 1) / kColumnGroupBlock;
   std::vector<std::vector<uint64_t>> partial(
-      num_shards, std::vector<uint64_t>(num_queries, 0));
+      num_sources, std::vector<uint64_t>(num_queries, 0));
   Status status = ParallelForSlots(
-      pool, num_shards * blocks, 1,
+      pool, num_sources * blocks, 1,
       [&](size_t /*slot*/, size_t begin, size_t end) -> Status {
         for (size_t task = begin; task < end; ++task) {
-          const size_t shard = task / blocks;
+          const size_t source = task / blocks;
           const size_t block = task % blocks;
           const size_t g_begin = block * kColumnGroupBlock;
           const size_t g_end =
               std::min(g_begin + kColumnGroupBlock, plan.groups.size());
           TraceScope block_span("column.count_block", -1,
-                                static_cast<int64_t>(shard),
+                                static_cast<int64_t>(source),
                                 static_cast<int64_t>(g_end - g_begin));
           ColumnOpStats op_stats;
-          ExecuteBlockedGroupsColumns(plan, g_begin, g_end, *sources_[shard],
-                                      partial[shard], &op_stats);
+          ExecuteBlockedGroupsColumns(plan, g_begin, g_end, *sources_[source],
+                                      partial[source], &op_stats);
           BumpColumnKernelCounters(op_stats);
         }
         return Status::OK();
       });
   CORRMINE_CHECK(status.ok()) << status.ToString();
   std::fill(counts.begin(), counts.end(), 0);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
+  for (size_t source = 0; source < num_sources; ++source) {
     for (size_t q = 0; q < num_queries; ++q) {
-      counts[q] += partial[shard][q];
+      counts[q] += partial[source][q];
     }
   }
 }

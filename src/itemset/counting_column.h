@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,7 +13,6 @@
 #include "itemset/count_provider.h"
 #include "itemset/itemset.h"
 #include "itemset/kernels.h"
-#include "itemset/sharded_database.h"
 #include "itemset/transaction_database.h"
 
 namespace corrmine {
@@ -287,38 +287,35 @@ class CompressedVerticalIndex : public ColumnSource {
   size_t num_baskets_ = 0;
 };
 
-/// Strategy B-compressed: a drop-in, K-invariant, morsel-parallel peer of
-/// BitmapCountProvider over hybrid columns. Owns one
-/// CompressedVerticalIndex per shard (round-robin rows, exact per-shard
-/// sums fanned in shard order — byte-identical for any shard count), or
-/// borrows externally owned column sources (mmap-backed partition shards).
-/// Batches run through the prefix-blocked column executor as shard x
-/// group-block morsels on the caller's pool.
+/// Strategy B-compressed: a drop-in, morsel-parallel peer of
+/// BitmapCountProvider over hybrid columns. Owns one CompressedVerticalIndex
+/// over the session's row store, or borrows externally owned column sources
+/// (mmap-backed out-of-core partitions), whose counts are exact per-source
+/// sums fanned in source order. Batches run through the prefix-blocked
+/// column executor as source x group-block morsels on the caller's pool.
 class CompressedCountProvider : public CountProvider {
  public:
-  /// Single-shard index over a flat database. `db` must outlive this.
+  /// Builds the index eagerly; AppendFrom takes the grown database again,
+  /// so `db` need not outlive this provider.
   explicit CompressedCountProvider(const TransactionDatabase& db);
-
-  /// One index per shard. `db` must outlive this.
-  explicit CompressedCountProvider(const ShardedTransactionDatabase& db);
 
   /// Borrows externally owned sources (each must outlive this provider);
   /// AppendFrom is unavailable in this mode.
   explicit CompressedCountProvider(std::vector<const ColumnSource*> sources);
 
   uint64_t num_baskets() const override { return num_rows_total_; }
-  size_t num_shards() const { return sources_.size(); }
 
-  /// First shard's index (legacy accessor; single-shard construction).
-  const CompressedVerticalIndex& index() const { return owned_.front(); }
+  /// The owned index (database construction only).
+  const CompressedVerticalIndex& index() const { return *owned_; }
 
-  /// Folds the database's appended tail into the per-shard indexes.
-  void AppendFrom(const ShardedTransactionDatabase& db);
+  /// Folds the rows appended to `db` since construction (or the last
+  /// AppendFrom) into the owned index.
+  void AppendFrom(const TransactionDatabase& db);
 
-  /// Sum of per-shard index MemoryBytes (feeds mem.shard_index_bytes).
+  /// Owned index MemoryBytes (feeds mem.index_bytes); 0 when borrowing.
   uint64_t IndexMemoryBytes() const;
 
-  /// Aggregated container census across every shard.
+  /// Aggregated container census across every source.
   ColumnStorageStats StorageStats() const;
 
  protected:
@@ -328,8 +325,9 @@ class CompressedCountProvider : public CountProvider {
                                 ThreadPool* pool) const override;
 
  private:
-  std::vector<CompressedVerticalIndex> owned_;   // built before sources_
-  std::vector<const ColumnSource*> sources_;     // into owned_ or external
+  // Heap-held so sources_ stays valid when the provider moves.
+  std::unique_ptr<CompressedVerticalIndex> owned_;
+  std::vector<const ColumnSource*> sources_;  // owned_ or external
   uint64_t num_rows_total_ = 0;
 };
 

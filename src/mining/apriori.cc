@@ -80,10 +80,10 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsets(
   }
 
   // One CountAllPresentBatch per level: the provider answers the whole
-  // candidate frontier at once (bitmap providers parallelize over the
-  // query axis, sharded providers over their shards). Counts land in
+  // candidate frontier at once (bitmap providers parallelize over prefix
+  // groups, the scan provider over basket ranges). Counts land in
   // index-addressed slots, so the sequential filter below sees the same
-  // counts in the same order regardless of thread or shard count.
+  // counts in the same order regardless of thread count.
   auto count_all = [&](const std::vector<Itemset>& candidates,
                        std::vector<uint64_t>* counts) -> Status {
     candidates_counted->Add(candidates.size());

@@ -60,58 +60,6 @@ void Extend(const Itemset& prefix, const Bitmap& prefix_rows,
   }
 }
 
-/// Per-shard basket set of an itemset: one bitmap per database shard.
-/// Support is the sum of per-shard popcounts, exact by construction.
-struct ShardedRows {
-  std::vector<Bitmap> rows;
-
-  uint64_t Count() const {
-    uint64_t total = 0;
-    for (const Bitmap& b : rows) total += b.Count();
-    return total;
-  }
-};
-
-/// Sharded analog of Extend: one *logical* intersection per tail item (K
-/// short per-shard ANDs), counted once so "eclat.intersections" is
-/// K-invariant.
-void ExtendSharded(const Itemset& prefix, const ShardedRows& prefix_rows,
-                   const std::vector<std::pair<ItemId, const ShardedRows*>>& tail,
-                   const EclatState& state) {
-  if (state.max_level != 0 &&
-      static_cast<int>(prefix.size()) >= state.max_level) {
-    return;
-  }
-  std::vector<std::pair<ItemId, ShardedRows>> extensions;
-  std::vector<uint64_t> extension_counts;
-  for (const auto& [item, rows] : tail) {
-    ++*state.intersections;
-    ShardedRows joined;
-    joined.rows.reserve(prefix_rows.rows.size());
-    uint64_t count = 0;
-    for (size_t s = 0; s < prefix_rows.rows.size(); ++s) {
-      Bitmap b;
-      count += Bitmap::AndCountInto(prefix_rows.rows[s], rows->rows[s], &b);
-      joined.rows.push_back(std::move(b));
-    }
-    if (count >= state.min_count) {
-      extensions.emplace_back(item, std::move(joined));
-      extension_counts.push_back(count);
-    }
-  }
-  for (size_t i = 0; i < extensions.size(); ++i) {
-    Itemset extended = prefix.WithItem(extensions[i].first);
-    state.out->push_back(FrequentItemset{extended, extension_counts[i]});
-    std::vector<std::pair<ItemId, const ShardedRows*>> next_tail;
-    for (size_t j = i + 1; j < extensions.size(); ++j) {
-      next_tail.emplace_back(extensions[j].first, &extensions[j].second);
-    }
-    if (!next_tail.empty()) {
-      ExtendSharded(extended, extensions[i].second, next_tail, state);
-    }
-  }
-}
-
 Status ValidateEclatOptions(uint64_t num_baskets,
                             const EclatOptions& options) {
   if (num_baskets == 0) {
@@ -191,81 +139,6 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
               frequent_items.begin() + i + 1, frequent_items.end());
           if (!tail.empty()) {
             Extend(single, *frequent_items[i].second, tail, state);
-          }
-        }
-        return Status::OK();
-      }));
-
-  std::vector<FrequentItemset> result;
-  for (std::vector<FrequentItemset>& branch : branch_results) {
-    result.insert(result.end(), std::make_move_iterator(branch.begin()),
-                  std::make_move_iterator(branch.end()));
-  }
-  uint64_t total_intersections = 0;
-  for (uint64_t c : branch_intersections) total_intersections += c;
-  registry.GetCounter("eclat.intersections")->Add(total_intersections);
-  registry.GetCounter("eclat.frequent")->Add(result.size());
-
-  SortFrequent(&result);
-  return result;
-}
-
-StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
-    const ShardedTransactionDatabase& db, const EclatOptions& options) {
-  CORRMINE_RETURN_NOT_OK(ValidateEclatOptions(db.num_baskets(), options));
-  uint64_t min_count =
-      EclatMinCount(db.num_baskets(), options.min_support_fraction);
-
-  // One vertical index per shard; a singleton's basket set is its
-  // per-shard bitmap vector. Marginals come from the database's exact
-  // per-shard sums, so the frequent-singleton set matches the monolithic
-  // overload bit for bit.
-  const size_t num_shards = db.num_shards();
-  std::vector<VerticalIndex> indexes;
-  indexes.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) indexes.emplace_back(db.shard(s));
-
-  std::vector<ItemId> frequent_ids;
-  std::vector<ShardedRows> frequent_rows;
-  for (ItemId i = 0; i < db.num_items(); ++i) {
-    if (db.ItemCount(i) < min_count) continue;
-    frequent_ids.push_back(i);
-    ShardedRows rows;
-    rows.rows.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      rows.rows.push_back(indexes[s].item_bitmap(i));
-    }
-    frequent_rows.push_back(std::move(rows));
-  }
-
-  const int threads = ThreadPool::ResolveThreadCount(options.num_threads);
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr && threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(threads - 1);
-    pool = owned_pool.get();
-  }
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "eclat.mine");
-  std::vector<std::vector<FrequentItemset>> branch_results(
-      frequent_ids.size());
-  std::vector<uint64_t> branch_intersections(frequent_ids.size(), 0);
-  CORRMINE_RETURN_NOT_OK(ParallelFor(
-      pool, frequent_ids.size(), /*grain=*/1,
-      [&](size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          EclatState state{min_count, options.max_level, &branch_results[i],
-                           &branch_intersections[i]};
-          Itemset single{frequent_ids[i]};
-          branch_results[i].push_back(
-              FrequentItemset{single, frequent_rows[i].Count()});
-          std::vector<std::pair<ItemId, const ShardedRows*>> tail;
-          tail.reserve(frequent_ids.size() - i - 1);
-          for (size_t j = i + 1; j < frequent_ids.size(); ++j) {
-            tail.emplace_back(frequent_ids[j], &frequent_rows[j]);
-          }
-          if (!tail.empty()) {
-            ExtendSharded(single, frequent_rows[i], tail, state);
           }
         }
         return Status::OK();

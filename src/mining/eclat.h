@@ -2,7 +2,6 @@
 #define CORRMINE_MINING_ECLAT_H_
 
 #include "common/status_or.h"
-#include "itemset/sharded_database.h"
 #include "itemset/transaction_database.h"
 #include "mining/apriori.h"
 
@@ -34,17 +33,6 @@ struct EclatOptions {
 /// Results ordered by (size, lexicographic), matching the other miners.
 StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     const TransactionDatabase& db, const EclatOptions& options = {});
-
-/// Shard-native Eclat over a horizontally partitioned database: every
-/// itemset carries one basket bitmap *per shard*, an extension is K
-/// short ANDs instead of one long one, and support is the exact sum of
-/// per-shard popcounts — the K-invariance contract of DESIGN.md §7, so the
-/// output is identical to the monolithic overload for any K. The
-/// "eclat.intersections" counter records one logical intersection per
-/// (prefix, tail item) pair regardless of K, keeping the cost accounting
-/// shard-invariant too.
-StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
-    const ShardedTransactionDatabase& db, const EclatOptions& options = {});
 
 }  // namespace corrmine
 

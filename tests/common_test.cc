@@ -125,6 +125,19 @@ TEST(StringUtilTest, ParseDoubleValidAndInvalid) {
   EXPECT_FALSE(ParseDouble("abc").ok());
   EXPECT_FALSE(ParseDouble("1.2.3").ok());
   EXPECT_FALSE(ParseDouble("").ok());
+  EXPECT_TRUE(ParseDouble("1e999").status().IsOutOfRange());
+  EXPECT_TRUE(ParseDouble("-1e999").status().IsOutOfRange());
+}
+
+TEST(StringUtilTest, ParseDoubleAcceptsUnderflow) {
+  // strtod flags these with ERANGE, but they are valid subnormals.
+  auto subnormal = ParseDouble("1.98e-323");
+  ASSERT_TRUE(subnormal.ok()) << subnormal.status().ToString();
+  EXPECT_EQ(*subnormal, 1.98e-323);
+  EXPECT_GT(*subnormal, 0.0);
+  auto to_zero = ParseDouble("1e-400");
+  ASSERT_TRUE(to_zero.ok()) << to_zero.status().ToString();
+  EXPECT_EQ(*to_zero, 0.0);
 }
 
 TEST(StringUtilTest, ToLowerAndJoin) {

@@ -391,7 +391,7 @@ TEST(CountingColumnTest, BlockedExecutorMatchesNaiveCounts) {
   }
 }
 
-TEST(CountingColumnTest, ProviderKInvarianceAcrossShardsAndThreads) {
+TEST(CountingColumnTest, ProviderMatchesBitmapAcrossThreads) {
   auto db_or = datagen::GenerateQuestData({.num_transactions = 5000,
                                           .num_items = 150,
                                           .avg_transaction_size = 14.0,
@@ -408,50 +408,49 @@ TEST(CountingColumnTest, ProviderKInvarianceAcrossShardsAndThreads) {
     }
     queries.emplace_back(std::vector<ItemId>(picked.begin(), picked.end()));
   }
-  const CompressedCountProvider reference(db);
+  const BitmapCountProvider reference(db);
   std::vector<uint64_t> expected(queries.size());
   reference.CountAllPresentBatch(queries, std::span<uint64_t>(expected));
-  for (size_t shards : {1, 2, 5}) {
-    const auto sharded = ShardedTransactionDatabase::Partition(db, shards);
-    const CompressedCountProvider provider(sharded);
-    EXPECT_EQ(provider.num_baskets(), db.num_baskets());
-    for (int threads : {1, 3}) {
-      ThreadPool pool(threads);
-      std::vector<uint64_t> counts(queries.size(), 0);
-      provider.CountAllPresentBatch(queries, std::span<uint64_t>(counts),
-                                    &pool);
-      EXPECT_EQ(counts, expected) << shards << " shards, pool " << threads;
-    }
-    // Scalar grain agrees with the batch grain.
-    for (size_t q = 0; q < 32; ++q) {
-      EXPECT_EQ(provider.CountAllPresent(queries[q]), expected[q]);
-    }
+  const CompressedCountProvider provider(db);
+  EXPECT_EQ(provider.num_baskets(), db.num_baskets());
+  std::vector<uint64_t> inline_counts(queries.size(), 0);
+  provider.CountAllPresentBatch(queries, std::span<uint64_t>(inline_counts));
+  EXPECT_EQ(inline_counts, expected) << "no pool";
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    std::vector<uint64_t> counts(queries.size(), 0);
+    provider.CountAllPresentBatch(queries, std::span<uint64_t>(counts),
+                                  &pool);
+    EXPECT_EQ(counts, expected) << "pool " << threads;
+  }
+  // Scalar grain agrees with the batch grain.
+  for (size_t q = 0; q < 32; ++q) {
+    EXPECT_EQ(provider.CountAllPresent(queries[q]), expected[q]);
   }
 }
 
 TEST(CountingColumnTest, ProviderAppendMatchesRebuild) {
   datagen::Rng rng(21);
-  TransactionDatabase base(60);
+  TransactionDatabase grown(60);
   for (int b = 0; b < 3000; ++b) {
     std::vector<ItemId> basket;
     for (ItemId i = 0; i < 60; ++i) {
       if (rng.NextBernoulli(0.1)) basket.push_back(i);
     }
-    ASSERT_TRUE(base.AddBasket(std::move(basket)).ok());
+    ASSERT_TRUE(grown.AddBasket(std::move(basket)).ok());
   }
-  auto sharded = ShardedTransactionDatabase::Partition(base, 3);
-  CompressedCountProvider provider(sharded);
+  CompressedCountProvider provider(grown);
   // Append a delta that also widens the item space.
-  ASSERT_TRUE(sharded.GrowItemSpace(80).ok());
+  ASSERT_TRUE(grown.GrowItemSpace(80).ok());
   for (int b = 0; b < 500; ++b) {
     std::vector<ItemId> basket;
     for (ItemId i = 0; i < 80; ++i) {
       if (rng.NextBernoulli(0.15)) basket.push_back(i);
     }
-    ASSERT_TRUE(sharded.AddBasket(std::move(basket)).ok());
+    ASSERT_TRUE(grown.AddBasket(std::move(basket)).ok());
   }
-  provider.AppendFrom(sharded);
-  const CompressedCountProvider rebuilt(sharded);
+  provider.AppendFrom(grown);
+  const CompressedCountProvider rebuilt(grown);
   EXPECT_EQ(provider.num_baskets(), rebuilt.num_baskets());
   for (int trial = 0; trial < 300; ++trial) {
     const int k = 1 + static_cast<int>(rng.NextDouble() * 3.0);

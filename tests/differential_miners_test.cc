@@ -19,7 +19,6 @@
 #include "datagen/quest_generator.h"
 #include "itemset/count_provider.h"
 #include "itemset/counting_column.h"
-#include "itemset/sharded_database.h"
 #include "mining/apriori.h"
 #include "mining/eclat.h"
 #include "mining/fp_growth.h"
@@ -126,19 +125,20 @@ TEST(DifferentialMinersTest, AprioriIdenticalAcrossCountProviders) {
   TransactionDatabase db = SeededQuest(1997);
   ScanCountProvider scan(db);
   BitmapCountProvider bitmap(db);
-  CachedCountProvider cached(bitmap.index());
+  CompressedCountProvider compressed(db);
 
   AprioriOptions options;
   options.min_support_fraction = 0.02;
   options.max_level = 3;
   auto from_scan = MineFrequentItemsets(scan, db.num_items(), options);
   auto from_bitmap = MineFrequentItemsets(bitmap, db.num_items(), options);
-  auto from_cached = MineFrequentItemsets(cached, db.num_items(), options);
+  auto from_compressed =
+      MineFrequentItemsets(compressed, db.num_items(), options);
   ASSERT_TRUE(from_scan.ok());
   ASSERT_TRUE(from_bitmap.ok());
-  ASSERT_TRUE(from_cached.ok());
+  ASSERT_TRUE(from_compressed.ok());
   EXPECT_EQ(AsMap(*from_scan), AsMap(*from_bitmap));
-  EXPECT_EQ(AsMap(*from_scan), AsMap(*from_cached));
+  EXPECT_EQ(AsMap(*from_scan), AsMap(*from_compressed));
 }
 
 /// Fingerprint of a mining result, including the new LevelStats columns —
@@ -165,7 +165,7 @@ TEST(DifferentialMinersTest, ChiSquaredVerdictsIdenticalAcrossProviders) {
   TransactionDatabase db = SeededQuest(42);
   ScanCountProvider scan(db);
   BitmapCountProvider bitmap(db);
-  CachedCountProvider cached(bitmap.index());
+  CompressedCountProvider compressed(db);
 
   MinerOptions options;
   options.support.min_count = 10;
@@ -176,86 +176,55 @@ TEST(DifferentialMinersTest, ChiSquaredVerdictsIdenticalAcrossProviders) {
 
   auto from_scan = MineCorrelations(scan, db.num_items(), options);
   auto from_bitmap = MineCorrelations(bitmap, db.num_items(), options);
-  auto from_cached = MineCorrelations(cached, db.num_items(), options);
+  auto from_compressed =
+      MineCorrelations(compressed, db.num_items(), options);
   ASSERT_TRUE(from_scan.ok()) << from_scan.status().ToString();
   ASSERT_TRUE(from_bitmap.ok());
-  ASSERT_TRUE(from_cached.ok());
+  ASSERT_TRUE(from_compressed.ok());
 
   std::string fingerprint = MiningFingerprint(*from_scan);
   EXPECT_FALSE(from_scan->significant.empty()) << "degenerate fixture";
   EXPECT_EQ(MiningFingerprint(*from_bitmap), fingerprint);
-  EXPECT_EQ(MiningFingerprint(*from_cached), fingerprint);
+  EXPECT_EQ(MiningFingerprint(*from_compressed), fingerprint);
 }
 
-// The K-invariance contract (DESIGN.md §7), end to end: rules, statistics
-// and per-level accounting must be byte-identical whether the dataset lives
-// in one piece or in K shards, and whatever the thread count.
-TEST(DifferentialMinersTest, VerdictsIdenticalAcrossShardsAndThreads) {
+// Rules, statistics and per-level accounting must be byte-identical to the
+// sequential bitmap baseline for every provider and thread count. Runs under
+// TSan in verify.sh, so it also pins each provider's parallel batch path
+// data-race-free.
+TEST(DifferentialMinersTest, VerdictsIdenticalAcrossProvidersAndThreads) {
   TransactionDatabase db = SeededQuest(1997);
-  BitmapCountProvider reference(db);
+  BitmapCountProvider bitmap(db);
+  CompressedCountProvider compressed(db);
+  ScanCountProvider scan(db);
 
   MinerOptions options;
   options.support.min_count = 10;
   options.support.cell_fraction = 0.25;
   options.chi2.min_expected_cell = 1.0;
 
-  auto baseline = MineCorrelations(reference, db.num_items(), options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  std::string fingerprint = MiningFingerprint(*baseline);
-  ASSERT_FALSE(baseline->significant.empty()) << "degenerate fixture";
-
-  for (size_t shards : {1, 2, 4, 7}) {
-    ShardedTransactionDatabase sharded =
-        ShardedTransactionDatabase::Partition(db, shards);
-    ShardedCountProvider provider(sharded);
-    for (int threads : {1, 8}) {
-      MinerOptions run = options;
-      run.num_threads = threads;
-      auto result = MineCorrelations(provider, db.num_items(), run);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(MiningFingerprint(*result), fingerprint)
-          << "shards " << shards << " threads " << threads;
-    }
-  }
-}
-
-// The compressed counting-column provider is a full K-invariant peer of
-// the bitmap provider: rules, statistics and per-level accounting must be
-// byte-identical to the monolithic bitmap baseline for any (shards,
-// threads) layout. Runs under TSan in verify.sh, so it also pins the
-// morsel-parallel batch path data-race-free.
-TEST(DifferentialMinersTest, CompressedProviderMatchesBitmapAcrossLayouts) {
-  TransactionDatabase db = SeededQuest(1997);
-  BitmapCountProvider reference(db);
-
-  MinerOptions options;
-  options.support.min_count = 10;
-  options.support.cell_fraction = 0.25;
-  options.chi2.min_expected_cell = 1.0;
-
-  auto baseline = MineCorrelations(reference, db.num_items(), options);
+  auto baseline = MineCorrelations(bitmap, db.num_items(), options);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const std::string fingerprint = MiningFingerprint(*baseline);
   ASSERT_FALSE(baseline->significant.empty()) << "degenerate fixture";
 
-  for (size_t shards : {1, 2, 4, 7}) {
-    ShardedTransactionDatabase sharded =
-        ShardedTransactionDatabase::Partition(db, shards);
-    CompressedCountProvider provider(sharded);
-    for (int threads : {1, 8}) {
+  const std::pair<const char*, const CountProvider*> providers[] = {
+      {"bitmap", &bitmap}, {"compressed", &compressed}, {"scan", &scan}};
+  for (const auto& [name, provider] : providers) {
+    for (int threads : {1, 2, 8}) {
       MinerOptions run = options;
       run.num_threads = threads;
-      auto result = MineCorrelations(provider, db.num_items(), run);
+      auto result = MineCorrelations(*provider, db.num_items(), run);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(MiningFingerprint(*result), fingerprint)
-          << "shards " << shards << " threads " << threads;
+          << name << " threads " << threads;
     }
   }
 }
 
-// Shard-native Eclat must reproduce the monolithic miner's itemsets and
-// counts exactly, for any K and thread count.
-TEST(DifferentialMinersTest, ShardedEclatMatchesMonolithic) {
+// Eclat's per-subtree parallel search must reproduce the sequential
+// itemsets and counts exactly, for any thread count.
+TEST(DifferentialMinersTest, EclatIdenticalAcrossThreads) {
   TransactionDatabase db = SeededQuest(42);
   EclatOptions options;
   options.min_support_fraction = 0.02;
@@ -263,20 +232,15 @@ TEST(DifferentialMinersTest, ShardedEclatMatchesMonolithic) {
   auto baseline = MineFrequentItemsetsEclat(db, options);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  for (size_t shards : {1, 3, 7}) {
-    ShardedTransactionDatabase sharded =
-        ShardedTransactionDatabase::Partition(db, shards);
-    for (int threads : {1, 8}) {
-      EclatOptions run = options;
-      run.num_threads = threads;
-      auto result = MineFrequentItemsetsEclat(sharded, run);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ASSERT_EQ(result->size(), baseline->size())
-          << "shards " << shards << " threads " << threads;
-      for (size_t i = 0; i < baseline->size(); ++i) {
-        ASSERT_EQ((*result)[i].itemset, (*baseline)[i].itemset);
-        ASSERT_EQ((*result)[i].count, (*baseline)[i].count);
-      }
+  for (int threads : {2, 8}) {
+    EclatOptions run = options;
+    run.num_threads = threads;
+    auto result = MineFrequentItemsetsEclat(db, run);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->size(), baseline->size()) << "threads " << threads;
+    for (size_t i = 0; i < baseline->size(); ++i) {
+      ASSERT_EQ((*result)[i].itemset, (*baseline)[i].itemset);
+      ASSERT_EQ((*result)[i].count, (*baseline)[i].count);
     }
   }
 }

@@ -2,10 +2,8 @@
 // delta batch — randomized appends and sliding-window retirements — border
 // repair must reproduce a from-scratch mine of the current window bit for
 // bit: rule bytes (double bit patterns, not epsilon compares), level stats,
-// and the rendered deterministic stats line. The matrix dimension re-proves
-// it for every (threads × shards) layout, because repair re-deals the
-// round-robin layout on retirement and leans on the K-invariance contract
-// (DESIGN.md §7) for that to be unobservable.
+// and the rendered deterministic stats line. The thread axis re-proves it
+// for every schedule, including the session rebuild on retirement.
 
 #include <cstdint>
 #include <cstring>
@@ -92,26 +90,25 @@ MinerOptions IncrementalMinerOptions() {
 }
 
 /// The from-scratch reference for the miner's current window: a fresh
-/// canonical (1-thread, 1-shard, memo-free) session over the same rows and
+/// canonical (1-thread, memo-free) session over the same rows and
 /// the SAME item space — the incremental side's item space is monotone, so
 /// the reference must be built at inc.session().num_items(), not at the
 /// window's own max id.
 std::string ReferenceFingerprint(const IncrementalMiner& inc,
                                  const MinerOptions& options,
                                  std::string* stats_line) {
-  TransactionDatabase rows = inc.session().Flatten();
   SessionOptions canonical;
   canonical.num_threads = 1;
-  canonical.num_shards = 1;
-  auto session = MiningSession::FromDatabase(rows, canonical);
+  auto session = MiningSession::FromDatabase(inc.session().database(),
+                                             canonical);
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   auto result = session->Mine(options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
-  *stats_line = RenderDeterministicStats(*result, nullptr);
+  *stats_line = RenderDeterministicStats(*result);
   return ExactFingerprint(*result);
 }
 
-/// One scripted delta schedule, shared by every matrix cell so all layouts
+/// One scripted delta schedule, shared by every thread count so all runs
 /// face identical data: append / append / retire / append(wider item
 /// space) / retire / append, with chunk sizes drawn from a seeded RNG.
 struct DeltaOp {
@@ -141,42 +138,39 @@ TEST(IncrementalDifferentialTest, RepairMatchesScratchAfterEveryBatch) {
   const MinerOptions options = IncrementalMinerOptions();
   const std::vector<DeltaOp> schedule = ScriptedSchedule();
 
-  for (int threads : {1, 4}) {
-    for (int shards : {1, 3}) {
-      SessionOptions session_options;
-      session_options.num_threads = threads;
-      session_options.num_shards = shards;
-      auto inc = IncrementalMiner::Create(QuestChunk(1997, 400, 50),
-                                          session_options, options);
-      ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  for (int threads : {1, 2, 4}) {
+    SessionOptions session_options;
+    session_options.num_threads = threads;
+    auto inc = IncrementalMiner::Create(QuestChunk(1997, 400, 50),
+                                        session_options, options);
+    ASSERT_TRUE(inc.ok()) << inc.status().ToString();
 
-      // Batch 0: the initial full mine through an empty memo.
-      int batch = 0;
-      auto check = [&](const char* what) {
-        auto repaired = inc->Repair();
-        ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
-        std::string want_stats;
-        std::string want = ReferenceFingerprint(*inc, options, &want_stats);
-        EXPECT_EQ(ExactFingerprint(*repaired), want)
-            << "threads " << threads << " shards " << shards << " batch "
-            << batch << " (" << what << ")";
-        EXPECT_EQ(RenderDeterministicStats(*repaired, nullptr), want_stats)
-            << "threads " << threads << " shards " << shards << " batch "
-            << batch << " (" << what << ")";
-        ASSERT_FALSE(repaired->significant.empty()) << "degenerate fixture";
-      };
-      check("initial");
+    // Batch 0: the initial full mine through an empty memo.
+    int batch = 0;
+    auto check = [&](const char* what) {
+      auto repaired = inc->Repair();
+      ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+      std::string want_stats;
+      std::string want = ReferenceFingerprint(*inc, options, &want_stats);
+      EXPECT_EQ(ExactFingerprint(*repaired), want)
+          << "threads " << threads << " batch " << batch << " (" << what
+          << ")";
+      EXPECT_EQ(RenderDeterministicStats(*repaired), want_stats)
+          << "threads " << threads << " batch " << batch << " (" << what
+          << ")";
+      ASSERT_FALSE(repaired->significant.empty()) << "degenerate fixture";
+    };
+    check("initial");
 
-      for (const DeltaOp& op : schedule) {
-        ++batch;
-        if (op.retire) {
-          ASSERT_TRUE(inc->RetireOldest().ok());
-          check("retire");
-        } else {
-          ASSERT_TRUE(
-              inc->Append(QuestChunk(op.seed, op.baskets, op.items)).ok());
-          check("append");
-        }
+    for (const DeltaOp& op : schedule) {
+      ++batch;
+      if (op.retire) {
+        ASSERT_TRUE(inc->RetireOldest().ok());
+        check("retire");
+      } else {
+        ASSERT_TRUE(
+            inc->Append(QuestChunk(op.seed, op.baskets, op.items)).ok());
+        check("append");
       }
     }
   }
@@ -190,7 +184,6 @@ TEST(IncrementalDifferentialTest, RoundTrippedSnapshotRepairsIdentically) {
   const MinerOptions options = IncrementalMinerOptions();
   SessionOptions session_options;
   session_options.num_threads = 2;
-  session_options.num_shards = 2;
   auto inc = IncrementalMiner::Create(QuestChunk(7, 300, 48),
                                       session_options, options);
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
@@ -206,7 +199,7 @@ TEST(IncrementalDifferentialTest, RoundTrippedSnapshotRepairsIdentically) {
   std::string want_stats;
   std::string want = ReferenceFingerprint(*inc, options, &want_stats);
   EXPECT_EQ(ExactFingerprint(*repaired), want);
-  EXPECT_EQ(RenderDeterministicStats(*repaired, nullptr), want_stats);
+  EXPECT_EQ(RenderDeterministicStats(*repaired), want_stats);
 }
 
 // A second repair with no intervening delta must be pure memo traffic: the

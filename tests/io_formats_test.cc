@@ -1,6 +1,7 @@
 // Tests for the tokenizer, CSV reader and result serialization.
 
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -159,6 +160,23 @@ TEST(ResultIoTest, FileRoundTrip) {
   auto parsed = ReadMiningResult(path);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->significant.size(), 1u);
+  std::remove(path.c_str());
+}
+
+// Write -> Parse must be exact even for subnormal p-values, which the
+// writer's "%.17g" emits for extreme chi-squared statistics.
+TEST(ResultIoTest, SubnormalPValueRoundTrips) {
+  MiningResult original = SampleResult();
+  const double subnormal = 1.98e-323;
+  ASSERT_LT(subnormal, std::numeric_limits<double>::min());
+  original.significant[0].chi2.p_value = subnormal;
+  std::string path = ::testing::TempDir() + "/corrmine_subnormal_test.txt";
+  ASSERT_TRUE(WriteMiningResult(original, path).ok());
+  auto parsed = ReadMiningResult(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->significant.size(), 1u);
+  EXPECT_EQ(parsed->significant[0].chi2.p_value, subnormal);
+  EXPECT_EQ(SerializeMiningResult(*parsed), SerializeMiningResult(original));
   std::remove(path.c_str());
 }
 

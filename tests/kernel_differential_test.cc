@@ -293,7 +293,7 @@ TEST(BlockedExecutionTest, MatchesNaiveCountsForEveryKernelAndPartition) {
     EXPECT_EQ(counts, expected);
     EXPECT_EQ(stats.queries, queries.size());
     EXPECT_EQ(stats.groups, plan.groups.size());
-    // Arbitrary partition of the group axis (how shards parallelize).
+    // Arbitrary partition of the group axis (how morsels parallelize).
     std::vector<uint64_t> partitioned(queries.size(), ~uint64_t{0});
     for (size_t begin = 0; begin < plan.groups.size(); begin += 2) {
       const size_t end = std::min(begin + 2, plan.groups.size());

@@ -136,42 +136,6 @@ MinerOptions SmallMinerOptions() {
   return options;
 }
 
-TEST(MinerMetricsTest, CacheCountersNonzeroAndThreadCountInvariant) {
-  auto db = datagen::GenerateQuestData(SmallQuest());
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  BitmapCountProvider provider(*db);
-
-  // One fresh cache per run: the build-once memoization makes the hit/miss
-  // accounting a function of the query stream alone, so any thread count
-  // must reproduce the sequential numbers exactly.
-  CachedCountProvider::CacheStats baseline;
-  for (int threads : {1, 4}) {
-    CachedCountProvider cached(provider.index());
-    MinerOptions options = SmallMinerOptions();
-    options.num_threads = threads;
-    MetricsRegistry registry;
-    options.metrics = &registry;
-    auto result = MineCorrelations(cached, db->num_items(), options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    CachedCountProvider::CacheStats stats = cached.stats();
-    EXPECT_GT(stats.queries, 0u);
-    EXPECT_GT(stats.hits, 0u) << "prefix cache never hit on quest workload";
-    EXPECT_GT(stats.misses, 0u);
-    EXPECT_EQ(stats.overflow_builds, 0u);
-    EXPECT_LT(stats.and_word_ops, stats.uncached_and_word_ops)
-        << "cache did not save AND work";
-    if (threads == 1) {
-      baseline = stats;
-    } else {
-      EXPECT_EQ(stats.queries, baseline.queries);
-      EXPECT_EQ(stats.hits, baseline.hits);
-      EXPECT_EQ(stats.misses, baseline.misses);
-      EXPECT_EQ(stats.and_word_ops, baseline.and_word_ops);
-      EXPECT_EQ(stats.uncached_and_word_ops, baseline.uncached_and_word_ops);
-    }
-  }
-}
-
 TEST(MinerMetricsTest, RegistryCountersMatchLevelStats) {
   if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   auto db = datagen::GenerateQuestData(SmallQuest());

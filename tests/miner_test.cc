@@ -8,6 +8,7 @@
 #include "core/chi_squared_miner.h"
 #include "datagen/census_generator.h"
 #include "datagen/quest_generator.h"
+#include "itemset/counting_column.h"
 #include "test_util.h"
 
 namespace corrmine {
@@ -310,12 +311,12 @@ TEST(MinerDeterminismTest, CensusFixtureParallelMatchesSequential) {
   ExpectIdenticalResults(*sequential, *parallel);
 }
 
-// The prefix cache changes cost, never answers — even under the parallel
-// engine, where cache fills race across workers.
-TEST(MinerDeterminismTest, CachedProviderMatchesPlainBitmapInParallel) {
+// The compressed index changes cost, never answers — even under the
+// parallel engine, where its (source x group-block) morsels race.
+TEST(MinerDeterminismTest, CompressedProviderMatchesPlainBitmapInParallel) {
   auto db = testing::RandomCorrelatedDatabase(10, 600, 0.8, 59);
   BitmapCountProvider bitmap(db);
-  CachedCountProvider cached(bitmap.index());
+  CompressedCountProvider compressed(db);
   MinerOptions options;
   options.support.min_count = 5;
   options.support.cell_fraction = 0.26;
@@ -323,10 +324,10 @@ TEST(MinerDeterminismTest, CachedProviderMatchesPlainBitmapInParallel) {
   options.num_threads = 1;
   auto plain = MineCorrelations(bitmap, db.num_items(), options);
   options.num_threads = 4;
-  auto via_cache = MineCorrelations(cached, db.num_items(), options);
+  auto via_columns = MineCorrelations(compressed, db.num_items(), options);
   ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(via_cache.ok());
-  ExpectIdenticalResults(*plain, *via_cache);
+  ASSERT_TRUE(via_columns.ok());
+  ExpectIdenticalResults(*plain, *via_columns);
 }
 
 TEST(MinerDeterminismTest, ZeroThreadsMeansHardwareConcurrency) {

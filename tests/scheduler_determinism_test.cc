@@ -1,9 +1,9 @@
 // Scheduler determinism matrix (DESIGN.md §10): the work-stealing pool, the
 // morsel-parallel count providers, and the pipelined level loop must never
 // leak schedule noise into results. One baseline run pins the expected
-// bytes; every (threads × shards) combination — repeated, because races are
-// flaky by nature — must reproduce the mined rules bit for bit (double bit
-// patterns included, not an epsilon compare) and render the exact same
+// bytes; every (provider × threads) combination — repeated, because races
+// are flaky by nature — must reproduce the mined rules bit for bit (double
+// bit patterns included, not an epsilon compare) and render the exact same
 // deterministic stats-JSON line.
 
 #include <cstdint>
@@ -86,14 +86,13 @@ TEST(SchedulerDeterminismTest, MatrixByteIdentical) {
   TransactionDatabase db = MatrixFixture();
   MinerOptions options = MatrixMinerOptions();
 
-  // Baseline: sequential, monolithic — no pool, no shards, no pipeline
-  // overlap. Everything else must reproduce these bytes.
+  // Baseline: sequential bitmap — no pool, no pipeline overlap. Everything
+  // else must reproduce these bytes.
   std::string fingerprint;
   std::string stats_line;
   {
     SessionOptions session_options;
     session_options.num_threads = 1;
-    session_options.num_shards = 1;
     auto session = MiningSession::FromDatabase(db, session_options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     auto result = session->Mine(options);
@@ -101,40 +100,41 @@ TEST(SchedulerDeterminismTest, MatrixByteIdentical) {
     ASSERT_FALSE(result->significant.empty()) << "degenerate fixture";
     ASSERT_GE(result->levels.size(), 2u) << "fixture must reach level 3";
     fingerprint = ExactFingerprint(*result);
-    stats_line = RenderDeterministicStats(*result, nullptr);
+    stats_line = RenderDeterministicStats(*result);
   }
 
   constexpr int kRepeats = 2;  // same config twice: catches flaky races
-  for (int threads : {1, 2, 8}) {
-    for (int shards : {1, 4}) {
+  for (const SessionProvider provider :
+       {SessionProvider::kBitmap, SessionProvider::kCompressed,
+        SessionProvider::kScan}) {
+    for (int threads : {1, 2, 8}) {
       for (int repeat = 0; repeat < kRepeats; ++repeat) {
         SessionOptions session_options;
         session_options.num_threads = threads;
-        session_options.num_shards = shards;
+        session_options.provider = provider;
         auto session = MiningSession::FromDatabase(db, session_options);
         ASSERT_TRUE(session.ok()) << session.status().ToString();
         auto result = session->Mine(options);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         EXPECT_EQ(ExactFingerprint(*result), fingerprint)
-            << "threads " << threads << " shards " << shards << " repeat "
-            << repeat;
-        EXPECT_EQ(RenderDeterministicStats(*result, nullptr), stats_line)
-            << "threads " << threads << " shards " << shards << " repeat "
-            << repeat;
+            << "provider " << static_cast<int>(provider) << " threads "
+            << threads << " repeat " << repeat;
+        EXPECT_EQ(RenderDeterministicStats(*result), stats_line)
+            << "provider " << static_cast<int>(provider) << " threads "
+            << threads << " repeat " << repeat;
       }
     }
   }
 }
 
-// The 0-means-auto paths (threads and shards resolved from the usable core
-// count) must land on the same bytes as every explicit configuration.
+// The 0-means-auto thread count (resolved from the usable core count) must
+// land on the same bytes as every explicit configuration.
 TEST(SchedulerDeterminismTest, AutoDetectedConfigMatchesBaseline) {
   TransactionDatabase db = MatrixFixture();
   MinerOptions options = MatrixMinerOptions();
 
   SessionOptions baseline_options;
   baseline_options.num_threads = 1;
-  baseline_options.num_shards = 1;
   auto baseline = MiningSession::FromDatabase(db, baseline_options);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   auto expected = baseline->Mine(options);
@@ -142,47 +142,14 @@ TEST(SchedulerDeterminismTest, AutoDetectedConfigMatchesBaseline) {
 
   SessionOptions auto_options;
   auto_options.num_threads = 0;
-  auto_options.num_shards = 0;
   auto session = MiningSession::FromDatabase(db, auto_options);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_GE(session->num_threads(), 1);
-  EXPECT_GE(session->num_shards(), 1u);
   auto result = session->Mine(options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(ExactFingerprint(*result), ExactFingerprint(*expected));
-  EXPECT_EQ(RenderDeterministicStats(*result, nullptr),
-            RenderDeterministicStats(*expected, nullptr));
-}
-
-// The prefix cache rides on top of the same pool; its deterministic cache
-// counters (and the mined bytes) must also be schedule-independent.
-TEST(SchedulerDeterminismTest, PrefixCacheStatsStableAcrossThreads) {
-  TransactionDatabase db = MatrixFixture();
-  MinerOptions options = MatrixMinerOptions();
-
-  std::string fingerprint;
-  std::string stats_line;
-  for (int threads : {1, 8}) {
-    SessionOptions session_options;
-    session_options.num_threads = threads;
-    session_options.num_shards = 1;
-    session_options.prefix_cache = true;
-    auto session = MiningSession::FromDatabase(db, session_options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    auto result = session->Mine(options);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    ASSERT_NE(session->cache(), nullptr);
-    CachedCountProvider::CacheStats cache = session->cache()->stats();
-    std::string line = RenderDeterministicStats(*result, &cache);
-    if (fingerprint.empty()) {
-      fingerprint = ExactFingerprint(*result);
-      stats_line = line;
-    } else {
-      EXPECT_EQ(ExactFingerprint(*result), fingerprint)
-          << "threads " << threads;
-      EXPECT_EQ(line, stats_line) << "threads " << threads;
-    }
-  }
+  EXPECT_EQ(RenderDeterministicStats(*result),
+            RenderDeterministicStats(*expected));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// MiningSession facade: one object owning dataset, provider, pool and
-// metrics must produce exactly the results of hand-assembled plumbing, for
-// any shard/thread configuration — and the level-wise miner running under
-// it must stay on the batch counting path (one CountAllPresentBatch per
-// level, zero scalar calls).
+// MiningSession facade: one object owning the row store, one provider, the
+// pool and metrics must produce exactly the results of hand-assembled
+// plumbing, for every provider and thread count — and the level-wise miner
+// running under it must stay on the batch counting path (one
+// CountAllPresentBatch per level, zero scalar calls).
 
 #include "core/session.h"
 
@@ -15,6 +15,7 @@
 #include "common/metrics.h"
 #include "datagen/quest_generator.h"
 #include "io/binary_io.h"
+#include "io/result_io.h"
 #include "io/transaction_io.h"
 #include "itemset/count_provider.h"
 #include "test_util.h"
@@ -57,49 +58,20 @@ MinerOptions TestMinerOptions() {
   return options;
 }
 
-TEST(MiningSessionTest, MatchesStandaloneMinerForAnyShardThreadConfig) {
-  TransactionDatabase db = SeededQuest(1997);
-  BitmapCountProvider reference(db);
-  auto baseline =
-      MineCorrelations(reference, db.num_items(), TestMinerOptions());
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  std::string fingerprint = Fingerprint(*baseline);
-  ASSERT_FALSE(baseline->significant.empty()) << "degenerate fixture";
+const SessionProvider kAllProviders[] = {SessionProvider::kBitmap,
+                                         SessionProvider::kCompressed,
+                                         SessionProvider::kScan};
 
-  for (int shards : {1, 2, 4}) {
-    for (int threads : {1, 4}) {
-      SessionOptions options;
-      options.num_shards = shards;
-      options.num_threads = threads;
-      auto session = MiningSession::FromDatabase(db, options);
-      ASSERT_TRUE(session.ok()) << session.status().ToString();
-      EXPECT_EQ(session->num_shards(), static_cast<size_t>(shards));
-      EXPECT_EQ(session->num_baskets(), db.num_baskets());
-      auto result = session->Mine(TestMinerOptions());
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(Fingerprint(*result), fingerprint)
-          << "shards " << shards << " threads " << threads;
-    }
+TransactionDatabase Concatenate(const TransactionDatabase& base,
+                                const TransactionDatabase& delta) {
+  TransactionDatabase combined = base;
+  if (delta.num_items() > combined.num_items()) {
+    EXPECT_TRUE(combined.GrowItemSpace(delta.num_items()).ok());
   }
-}
-
-TEST(MiningSessionTest, PrefixCacheRequiresSingleShard) {
-  TransactionDatabase db = SeededQuest(7);
-  SessionOptions options;
-  options.prefix_cache = true;
-  options.num_shards = 2;
-  auto session = MiningSession::FromDatabase(db, options);
-  ASSERT_FALSE(session.ok());
-  EXPECT_TRUE(session.status().IsInvalidArgument());
-
-  options.num_shards = 1;
-  auto cached_session = MiningSession::FromDatabase(db, options);
-  ASSERT_TRUE(cached_session.ok()) << cached_session.status().ToString();
-  ASSERT_NE(cached_session->cache(), nullptr);
-  auto result = cached_session->Mine(TestMinerOptions());
-  ASSERT_TRUE(result.ok());
-  // The cache actually served the run.
-  EXPECT_GT(cached_session->cache()->stats().queries, 0u);
+  for (size_t row = 0; row < delta.num_baskets(); ++row) {
+    EXPECT_TRUE(combined.AddBasket(delta.basket(row)).ok());
+  }
+  return combined;
 }
 
 TEST(MiningSessionTest, InvalidOptionsRejected) {
@@ -107,9 +79,6 @@ TEST(MiningSessionTest, InvalidOptionsRejected) {
   SessionOptions negative_threads;
   negative_threads.num_threads = -1;
   EXPECT_FALSE(MiningSession::FromDatabase(db, negative_threads).ok());
-  SessionOptions negative_shards;
-  negative_shards.num_shards = -3;
-  EXPECT_FALSE(MiningSession::FromDatabase(db, negative_shards).ok());
 }
 
 TEST(MiningSessionTest, OpensTextAndBinaryFiles) {
@@ -125,10 +94,9 @@ TEST(MiningSessionTest, OpensTextAndBinaryFiles) {
   ASSERT_TRUE(expected.ok());
 
   for (const std::string& path : {text_path, bin_path}) {
-    SessionOptions options;
-    options.num_shards = 3;
-    auto session = MiningSession::Open(path, options);
+    auto session = MiningSession::Open(path, {});
     ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(session->num_baskets(), db.num_baskets());
     auto result = session->Mine(TestMinerOptions());
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(Fingerprint(*result), Fingerprint(*expected)) << path;
@@ -149,7 +117,6 @@ TEST(MiningSessionTest, FrequentMinersAgreeWithMonolithicBaseline) {
   ASSERT_TRUE(expected.ok());
 
   SessionOptions options;
-  options.num_shards = 3;
   options.num_threads = 2;
   auto session = MiningSession::FromDatabase(db, options);
   ASSERT_TRUE(session.ok());
@@ -169,47 +136,6 @@ TEST(MiningSessionTest, FrequentMinersAgreeWithMonolithicBaseline) {
   }
 }
 
-// Delta ingestion through the facade: AppendBatch must leave the session
-// indistinguishable from one opened over the concatenated data — for every
-// layout, including the prefix-cached one, whose memoized bitmaps predate
-// the append and must be epoch-invalidated rather than silently reused.
-TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
-  TransactionDatabase base = SeededQuest(1997);
-  TransactionDatabase delta = SeededQuest(4711);
-  TransactionDatabase combined = SeededQuest(1997);
-  for (size_t row = 0; row < delta.num_baskets(); ++row) {
-    ASSERT_TRUE(combined.AddBasket(delta.basket(row)).ok());
-  }
-
-  struct Layout {
-    int shards;
-    bool prefix_cache;
-  };
-  for (const Layout& layout :
-       {Layout{1, false}, Layout{3, false}, Layout{1, true}}) {
-    SessionOptions options;
-    options.num_shards = layout.shards;
-    options.prefix_cache = layout.prefix_cache;
-    auto session = MiningSession::FromDatabase(base, options);
-    ASSERT_TRUE(session.ok()) << session.status().ToString();
-    // Prime the session (and any prefix cache) over the base rows first.
-    ASSERT_TRUE(session->Mine(TestMinerOptions()).ok());
-    ASSERT_TRUE(session->AppendBatch(delta).ok());
-    EXPECT_EQ(session->num_baskets(),
-              base.num_baskets() + delta.num_baskets());
-
-    auto scratch = MiningSession::FromDatabase(combined, options);
-    ASSERT_TRUE(scratch.ok());
-    auto appended_result = session->Mine(TestMinerOptions());
-    ASSERT_TRUE(appended_result.ok()) << appended_result.status().ToString();
-    auto scratch_result = scratch->Mine(TestMinerOptions());
-    ASSERT_TRUE(scratch_result.ok());
-    EXPECT_EQ(Fingerprint(*appended_result), Fingerprint(*scratch_result))
-        << "shards " << layout.shards << " prefix_cache "
-        << layout.prefix_cache;
-  }
-}
-
 TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
   if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   TransactionDatabase db = SeededQuest(1997);
@@ -219,11 +145,8 @@ TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
   // level — the singleton marginals batch plus one per mined level. A
   // provider without batch overrides would fall back to scalar counting
   // and fail the scalar_calls == 0 pin.
-  for (const SessionProvider provider :
-       {SessionProvider::kBitmap, SessionProvider::kCompressed,
-        SessionProvider::kScan}) {
+  for (const SessionProvider provider : kAllProviders) {
     SessionOptions options;
-    options.num_shards = 2;
     options.provider = provider;
     auto session = MiningSession::FromDatabase(db, options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -245,7 +168,7 @@ TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
   }
 }
 
-TEST(MiningSessionTest, AllProvidersAgreeAcrossShardsAndThreads) {
+TEST(MiningSessionTest, AllProvidersAgreeAcrossThreads) {
   TransactionDatabase db = SeededQuest(1997);
   BitmapCountProvider reference(db);
   auto baseline =
@@ -254,45 +177,42 @@ TEST(MiningSessionTest, AllProvidersAgreeAcrossShardsAndThreads) {
   const std::string fingerprint = Fingerprint(*baseline);
   ASSERT_FALSE(baseline->significant.empty()) << "degenerate fixture";
 
-  for (const SessionProvider provider :
-       {SessionProvider::kBitmap, SessionProvider::kCompressed,
-        SessionProvider::kScan}) {
-    for (int shards : {1, 3}) {
-      for (int threads : {1, 4}) {
-        SessionOptions options;
-        options.provider = provider;
-        options.num_shards = shards;
-        options.num_threads = threads;
-        auto session = MiningSession::FromDatabase(db, options);
-        ASSERT_TRUE(session.ok()) << session.status().ToString();
-        auto result = session->Mine(TestMinerOptions());
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        EXPECT_EQ(Fingerprint(*result), fingerprint)
-            << "provider " << static_cast<int>(provider) << " shards "
-            << shards << " threads " << threads;
-      }
+  for (const SessionProvider provider : kAllProviders) {
+    for (int threads : {1, 2, 8}) {
+      SessionOptions options;
+      options.provider = provider;
+      options.num_threads = threads;
+      auto session = MiningSession::FromDatabase(db, options);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      EXPECT_EQ(session->num_baskets(), db.num_baskets());
+      auto result = session->Mine(TestMinerOptions());
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(Fingerprint(*result), fingerprint)
+          << "provider " << static_cast<int>(provider) << " threads "
+          << threads;
     }
   }
 }
 
-TEST(MiningSessionTest, AppendBatchWorksForEveryProvider) {
+// Delta ingestion through the facade: AppendBatch must leave the session
+// indistinguishable from one opened over the concatenated data, for every
+// provider — including a delta that widens the item space.
+TEST(MiningSessionTest, AppendBatchMatchesFromScratchSession) {
   TransactionDatabase base = SeededQuest(1997);
   TransactionDatabase delta = SeededQuest(4711);
-  TransactionDatabase combined = SeededQuest(1997);
-  for (size_t row = 0; row < delta.num_baskets(); ++row) {
-    ASSERT_TRUE(combined.AddBasket(delta.basket(row)).ok());
-  }
+  ASSERT_TRUE(delta.GrowItemSpace(base.num_items() + 5).ok());
+  const TransactionDatabase combined = Concatenate(base, delta);
 
-  for (const SessionProvider provider :
-       {SessionProvider::kBitmap, SessionProvider::kCompressed,
-        SessionProvider::kScan}) {
+  for (const SessionProvider provider : kAllProviders) {
     SessionOptions options;
     options.provider = provider;
-    options.num_shards = 2;
     auto session = MiningSession::FromDatabase(base, options);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
+    // Mine the base rows first so the append lands on a used index.
     ASSERT_TRUE(session->Mine(TestMinerOptions()).ok());
     ASSERT_TRUE(session->AppendBatch(delta).ok());
+    EXPECT_EQ(session->num_baskets(), combined.num_baskets());
+    EXPECT_EQ(session->num_items(), combined.num_items());
 
     auto scratch = MiningSession::FromDatabase(combined, options);
     ASSERT_TRUE(scratch.ok());
@@ -305,18 +225,39 @@ TEST(MiningSessionTest, AppendBatchWorksForEveryProvider) {
   }
 }
 
-TEST(MiningSessionTest, PrefixCacheRequiresBitmapProvider) {
-  TransactionDatabase db = SeededQuest(7);
-  for (const SessionProvider provider :
-       {SessionProvider::kCompressed, SessionProvider::kScan}) {
+// The scan and compressed providers hold a reference into the session's
+// row store, so the row store must stay put when the session moves. Move
+// the session (then overwrite the moved-from object so a dangling reference
+// would read a different row store), append, mine: the output must be
+// byte-identical to a fresh session over base+delta.
+TEST(MiningSessionTest, MovedSessionAppendsAndMinesLikeFreshSession) {
+  TransactionDatabase base = SeededQuest(1997);
+  TransactionDatabase delta = SeededQuest(4711);
+  const TransactionDatabase combined = Concatenate(base, delta);
+
+  for (const SessionProvider provider : kAllProviders) {
     SessionOptions options;
-    options.prefix_cache = true;
-    options.num_shards = 1;
     options.provider = provider;
-    auto session = MiningSession::FromDatabase(db, options);
-    ASSERT_FALSE(session.ok())
-        << "prefix cache must require the bitmap provider";
-    EXPECT_TRUE(session.status().IsInvalidArgument());
+    auto built = MiningSession::FromDatabase(base, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    MiningSession moved(std::move(*built));
+    built = MiningSession::FromDatabase(SeededQuest(7), options);
+    ASSERT_TRUE(built.ok());
+    MiningSession session = std::move(*built);
+    session = std::move(moved);
+
+    ASSERT_TRUE(session.AppendBatch(delta).ok());
+    auto appended = session.Mine(TestMinerOptions());
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+
+    auto fresh = MiningSession::FromDatabase(combined, options);
+    ASSERT_TRUE(fresh.ok());
+    auto expected = fresh->Mine(TestMinerOptions());
+    ASSERT_TRUE(expected.ok());
+    ASSERT_FALSE(expected->significant.empty()) << "degenerate fixture";
+    EXPECT_EQ(io::SerializeMiningResult(*appended),
+              io::SerializeMiningResult(*expected))
+        << "provider " << static_cast<int>(provider);
   }
 }
 

@@ -46,35 +46,21 @@ TEST(StatsJsonTest, DeterministicSectionSchema) {
   level.not_significant = 3;
   result.levels.push_back(level);
 
-  std::string json = RenderDeterministicStats(result, nullptr);
+  std::string json = RenderDeterministicStats(result);
   EXPECT_EQ(json,
             "{\"schema\":\"corrmine-stats-v1\",\"rules\":0,\"levels\":["
             "{\"level\":2,\"possible\":45,\"cand\":10,\"discards\":2,"
             "\"chi2_tests\":8,\"masked_cells\":3,\"sig\":5,\"notsig\":3}"
             "],\"cache\":null}");
-
-  CachedCountProvider::CacheStats cache;
-  cache.queries = 4;
-  cache.hits = 3;
-  cache.misses = 1;
-  cache.and_word_ops = 10;
-  cache.uncached_and_word_ops = 20;
-  std::string with_cache = RenderDeterministicStats(result, &cache);
-  EXPECT_NE(with_cache.find("\"cache\":{\"queries\":4,\"hits\":3,"
-                            "\"misses\":1,\"overflow_builds\":0,"
-                            "\"and_word_ops\":10,"
-                            "\"uncached_and_word_ops\":20}"),
-            std::string::npos)
-      << with_cache;
   // Single line (grep-comparable).
-  EXPECT_EQ(with_cache.find('\n'), std::string::npos);
+  EXPECT_EQ(json.find('\n'), std::string::npos);
 }
 
 TEST(StatsJsonTest, FullDocumentHasBothSections) {
   MiningResult result;
   MetricsRegistry registry;
   registry.GetCounter("miner.runs")->Add();
-  std::string json = RenderStatsJson(result, nullptr, registry);
+  std::string json = RenderStatsJson(result, registry);
   EXPECT_NE(json.find("\"schema\": \"corrmine-stats-v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"deterministic\": {"), std::string::npos);
@@ -96,7 +82,7 @@ TEST(StatsJsonTest, FullDocumentHasBothSections) {
 TEST(StatsJsonTest, FullDocumentCarriesProfileAndTraceSections) {
   MiningResult result;
   MetricsRegistry registry;
-  std::string json = RenderStatsJson(result, nullptr, registry);
+  std::string json = RenderStatsJson(result, registry);
   // Present in every configuration — profiling off, PMU denied, metrics
   // compiled out — because statsdiff --validate-profile checks structure
   // unconditionally.
@@ -129,7 +115,7 @@ TEST(StatsJsonTest, TraceRingOverflowIsReportedInStatsJson) {
 
   MiningResult result;
   MetricsRegistry registry;
-  std::string json = RenderStatsJson(result, nullptr, registry);
+  std::string json = RenderStatsJson(result, registry);
   auto doc = io::ParseJson(json);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const io::JsonValue* trace = doc->Find("trace");
@@ -173,15 +159,13 @@ TEST(StatsJsonTest, DeterministicSectionThreadCountInvariant) {
 
   std::string baseline;
   for (int threads : {1, 8}) {
-    CachedCountProvider cached(provider.index());
     MinerOptions options = SmallMinerOptions();
     options.num_threads = threads;
     MetricsRegistry registry;
     options.metrics = &registry;
-    auto result = MineCorrelations(cached, db->num_items(), options);
+    auto result = MineCorrelations(provider, db->num_items(), options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    CachedCountProvider::CacheStats cache = cached.stats();
-    std::string json = RenderDeterministicStats(*result, &cache);
+    std::string json = RenderDeterministicStats(*result);
     if (threads == 1) {
       baseline = json;
       ASSERT_FALSE(baseline.empty());

@@ -27,7 +27,7 @@ endif()
 execute_process(
   COMMAND ${CLI} mine ${WORKDIR}/sdiff_fixture.txt
           --support-count 100 --cell-fraction 0.26 --max-level 3
-          --threads 8 --shards 4 --stats-json ${WORKDIR}/sdiff_b.json
+          --threads 8 --stats-json ${WORKDIR}/sdiff_b.json
           --trace-out ${WORKDIR}/sdiff_trace.json
   RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
@@ -36,7 +36,7 @@ endif()
 
 # 1. Cross-configuration diff must be clean: the deterministic section (and
 #    the stable counter families) are contractually invariant across
-#    --threads and --shards.
+#    --threads.
 execute_process(
   COMMAND ${STATSDIFF} ${WORKDIR}/sdiff_a.json ${WORKDIR}/sdiff_b.json
           --counters miner.,count_provider.

@@ -1,20 +1,16 @@
 // Scheduler bench-regression gate: reads the BENCH_JSON lines emitted by
-// bench_parallel and bench_sharded, checks the parallel-scaling contract,
-// and writes the merged BENCH_scheduler.json trajectory file.
+// bench_parallel, checks the parallel-scaling contract, and writes the
+// merged BENCH_scheduler.json trajectory file.
 //
 // The thresholds are parallelism-aware because the contract is physical: a
 // "3.0x at 8 threads" floor is only meaningful on a machine with at least 8
 // usable cores. Below that the gate scales the requirement to the cores the
 // process can actually run on (affinity- and cgroup-clamped, the same
 // resolution `--threads 0` uses), bottoming out at "threads must not hurt"
-// (>= 0.85x) on one core. Likewise the sharded-overhead check (a K-shard
-// batch must stay within 10% of the monolithic layout at the same thread
-// count) is enforced only for K <= usable cores — sharding past the core
-// count is a known locality trade, not a scheduler regression; those runs
-// are reported unenforced.
+// (>= 0.85x) on one core.
 //
 // Usage:
-//   benchgate --out BENCH_scheduler.json parallel_out.txt sharded_out.txt
+//   benchgate --out BENCH_scheduler.json parallel_out.txt
 //
 // Exit status: 0 when every enforced gate passes, 1 otherwise (and the
 // failing gates are printed), 2 on usage/parse errors.
@@ -42,12 +38,6 @@ struct ParallelRun {
   int threads = 0;
   double seconds = 0.0;
   double speedup = 0.0;
-};
-
-struct ShardedRun {
-  int shards = 0;
-  int threads = 0;
-  double seconds = 0.0;
 };
 
 struct IncrementalRun {
@@ -182,7 +172,6 @@ int main(int argc, char** argv) {
   // name -> best-of-3 overhead ratio from bench_parallel's observer blocks.
   std::map<std::string, double> observer_ratios;
   std::vector<ParallelRun> parallel_runs;
-  std::vector<ShardedRun> sharded_runs;
   std::vector<IncrementalRun> incremental_runs;
   std::vector<OutOfCoreRun> outofcore_runs;
   for (const std::string& path : inputs) {
@@ -211,13 +200,6 @@ int main(int argc, char** argv) {
           if (block == nullptr || !block->is_object()) continue;
           double ratio = GetNumber(*block, "overhead_ratio");
           if (ratio > 0.0) observer_ratios[observer] = ratio;
-        }
-      } else if (bench->string_value == "bench_sharded") {
-        for (const io::JsonValue& run : runs->array) {
-          sharded_runs.push_back(
-              ShardedRun{static_cast<int>(GetNumber(run, "shards")),
-                         static_cast<int>(GetNumber(run, "threads")),
-                         GetNumber(run, "seconds")});
         }
       } else if (bench->string_value == "bench_incremental") {
         for (const io::JsonValue& run : runs->array) {
@@ -249,10 +231,10 @@ int main(int argc, char** argv) {
   // versa): each verify stage feeds benchgate the outputs it owns.
   const bool outofcore_mode =
       !outofcore_runs.empty() && parallel_runs.empty() &&
-      sharded_runs.empty() && incremental_runs.empty();
+      incremental_runs.empty();
   const bool incremental_mode =
       !incremental_runs.empty() && parallel_runs.empty() &&
-      sharded_runs.empty() && outofcore_runs.empty();
+      outofcore_runs.empty();
   const bool scheduler_required = !incremental_mode && !outofcore_mode;
 
   // Gate 1: end-to-end miner speedup at the widest measured thread count.
@@ -287,30 +269,6 @@ int main(int argc, char** argv) {
   if (observer_ratios.empty() && scheduler_required) {
     std::cerr << "benchgate: no observer-overhead blocks in bench_parallel "
                  "output\n";
-    return 2;
-  }
-
-  // Gate 2: sharded batch counting must stay within 10% of the monolithic
-  // layout at the same thread count — enforced while K fits the cores.
-  std::map<int, double> mono_seconds;  // threads -> shards=1 seconds
-  for (const ShardedRun& run : sharded_runs) {
-    if (run.shards == 1) mono_seconds[run.threads] = run.seconds;
-  }
-  for (const ShardedRun& run : sharded_runs) {
-    if (run.shards <= 1) continue;
-    auto mono = mono_seconds.find(run.threads);
-    if (mono == mono_seconds.end() || mono->second <= 0.0) continue;
-    Gate gate;
-    gate.name = "sharded_overhead_k" + std::to_string(run.shards) + "_t" +
-                std::to_string(run.threads);
-    gate.required = 1.10;  // max allowed seconds ratio vs shards=1
-    gate.actual = run.seconds / mono->second;
-    gate.pass = gate.actual <= gate.required;
-    gate.enforced = run.shards <= usable;
-    gates.push_back(gate);
-  }
-  if (sharded_runs.empty() && scheduler_required) {
-    std::cerr << "benchgate: no bench_sharded runs found\n";
     return 2;
   }
 
@@ -429,13 +387,6 @@ int main(int argc, char** argv) {
       json << "{\"threads\":" << parallel_runs[i].threads
            << ",\"seconds\":" << num(parallel_runs[i].seconds)
            << ",\"speedup\":" << num(parallel_runs[i].speedup) << '}';
-    }
-    json << "],\"sharded_runs\":[";
-    for (size_t i = 0; i < sharded_runs.size(); ++i) {
-      if (i > 0) json << ',';
-      json << "{\"shards\":" << sharded_runs[i].shards
-           << ",\"threads\":" << sharded_runs[i].threads
-           << ",\"seconds\":" << num(sharded_runs[i].seconds) << '}';
     }
     json << "]";
   }

@@ -13,13 +13,16 @@
 // Transaction files: one basket per line, whitespace-separated integer
 // item ids ('#' starts a comment line), or the CMB1 binary encoding —
 // readers auto-detect. mine/rules/check all route through MiningSession,
-// which owns the (optionally sharded) dataset, the counting provider, and
-// the thread pool.
+// which owns the row store, the counting provider, and the thread pool.
+// Each subcommand accepts only its own flags (plus --help and --kernel);
+// anything else is rejected by name.
 
 #include <algorithm>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/metrics.h"
@@ -37,7 +40,6 @@
 #include "io/binary_io.h"
 #include "io/chunked_io.h"
 #include "io/format_detect.h"
-#include "io/sharded_loader.h"
 #include "itemset/kernels.h"
 #include "io/csv.h"
 #include "io/result_io.h"
@@ -66,16 +68,8 @@ constexpr char kUsage[] =
     "      --threads T            worker threads for candidate evaluation\n"
     "                             (default 1; 0 = one per hardware thread;\n"
     "                             output is identical for any T)\n"
-    "      --shards K             partition the dataset into K shards and\n"
-    "                             count per shard (default 1; 0 = one per\n"
-    "                             hardware thread; output is identical for\n"
-    "                             any K — see DESIGN.md §7)\n"
-    "      --prefix-cache         memoize prefix bitmap intersections\n"
-    "                             (same counts, fewer AND operations;\n"
-    "                             requires --shards 1 and the bitmap\n"
-    "                             provider)\n"
     "      --provider NAME        counting strategy: bitmap (default,\n"
-    "                             per-shard uncompressed bitmap indexes),\n"
+    "                             uncompressed per-item bitmaps),\n"
     "                             compressed (hybrid array/bitmap/run\n"
     "                             counting columns — memory tracks\n"
     "                             occupancy, not the item x basket\n"
@@ -91,8 +85,8 @@ constexpr char kUsage[] =
     "                             pass (DESIGN.md §12). Output is\n"
     "                             byte-identical to the in-memory mine;\n"
     "                             honors --threads and the mining flags,\n"
-    "                             excludes --provider/--shards/--names/\n"
-    "                             --prefix-cache/--resume-from/--append\n"
+    "                             excludes --provider/--names/\n"
+    "                             --resume-from/--append/--border-out\n"
     "      --memory-budget B      out-of-core resident-set target in bytes\n"
     "                             (default 268435456); partitions are\n"
     "                             sized so peak RSS stays near it\n"
@@ -140,7 +134,7 @@ constexpr char kUsage[] =
     "                             a \"runtime\" metrics snapshot)\n"
     "      --stats                print the metrics report to stderr\n"
     "      --trace-out FILE       record execution trace events (span\n"
-    "                             begin/end per run, level, shard batch,\n"
+    "                             begin/end per run, level, count batch,\n"
     "                             pool task) and write them as Chrome\n"
     "                             Trace Event Format JSON — open in\n"
     "                             Perfetto (ui.perfetto.dev) or\n"
@@ -173,13 +167,11 @@ constexpr char kUsage[] =
     "  check <file>     test one itemset exactly (Monte Carlo permutation)\n"
     "      --items A,B[,C...]     item ids to test (required)\n"
     "      --rounds N             permutation rounds (default 1000)\n"
-    "      --shards K             load-time sharding (default 1; 0 = auto)\n"
     "  rules <file>     support-confidence association rules (baseline)\n"
     "      --min-support F        support fraction (default 0.01)\n"
     "      --min-confidence C     confidence cutoff (default 0.5)\n"
     "      --algo apriori|eclat   frequent-itemset miner (default apriori)\n"
     "      --threads T            worker threads (default 1; 0 = auto)\n"
-    "      --shards K             dataset shards (default 1; 0 = auto)\n"
     "  dependencies <csv>  chi-squared dependencies between multi-valued\n"
     "                      attributes (CSV: header + label rows)\n"
     "      --confidence-level A   significance level (default 0.95)\n"
@@ -198,15 +190,12 @@ constexpr char kUsage[] =
     "      --seed S               generator seed\n"
     "      --format text|binary   output encoding (readers auto-detect)\n";
 
-/// Session knobs shared by mine/rules/check: --threads and --shards follow
-/// the same convention (default 1, 0 = one per hardware thread).
+/// Session knobs shared by mine/rules/check: --threads (default 1, 0 = one
+/// per hardware thread), --names and --provider.
 StatusOr<SessionOptions> SessionOptionsFromFlags(const FlagParser& flags) {
   SessionOptions options;
   CORRMINE_ASSIGN_OR_RETURN(uint64_t threads, flags.GetUint64("threads", 1));
   options.num_threads = static_cast<int>(threads);
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t shards, flags.GetUint64("shards", 1));
-  options.num_shards = static_cast<int>(shards);
-  options.prefix_cache = flags.GetBool("prefix-cache", false);
   options.named_items = flags.GetBool("names", false);
   const std::string provider = flags.GetString("provider", "bitmap");
   if (provider == "bitmap") {
@@ -287,22 +276,15 @@ Status PrintMineResult(const FlagParser& flags, const MiningResult& result,
   return Status::OK();
 }
 
-/// Honors --stats-json/--stats against `registry`. `cached` may be null.
+/// Honors --stats-json/--stats against `registry`.
 Status EmitMineStats(const FlagParser& flags, const MiningResult& result,
-                     const CachedCountProvider* cached,
                      MetricsRegistry& registry) {
   std::string stats_path = flags.GetString("stats-json", "");
   bool print_stats = flags.GetBool("stats", false);
   if (stats_path.empty() && !print_stats) return Status::OK();
-  CachedCountProvider::CacheStats cache_stats;
-  if (cached) {
-    cache_stats = cached->stats();
-    cached->PublishMetrics(&registry);
-  }
   if (!stats_path.empty()) {
-    CORRMINE_RETURN_NOT_OK(WriteStatsJson(
-        stats_path,
-        RenderStatsJson(result, cached ? &cache_stats : nullptr, registry)));
+    CORRMINE_RETURN_NOT_OK(
+        WriteStatsJson(stats_path, RenderStatsJson(result, registry)));
     std::cout << "stats written to " << stats_path << "\n";
   }
   if (print_stats) std::cerr << registry.DumpMetrics();
@@ -383,8 +365,7 @@ Status RunMineOutOfCore(const FlagParser& flags) {
   ProfileOutGuard profile_guard(flags.GetString("profile-out", ""),
                                 flags.GetBool("pmu", false));
   for (const char* incompatible :
-       {"names", "prefix-cache", "resume-from", "append", "border-out",
-        "provider", "shards"}) {
+       {"names", "resume-from", "append", "border-out", "provider"}) {
     if (flags.HasFlag(incompatible)) {
       return Status::InvalidArgument(
           std::string("--out-of-core cannot be combined with --") +
@@ -422,7 +403,7 @@ Status RunMineOutOfCore(const FlagParser& flags) {
             << stats.spilled_encoded_bytes << "/"
             << stats.spilled_payload_bytes << " bytes\n";
   CORRMINE_RETURN_NOT_OK(PrintMineResult(flags, result, nullptr));
-  return EmitMineStats(flags, result, nullptr, MetricsRegistry::Global());
+  return EmitMineStats(flags, result, MetricsRegistry::Global());
 }
 
 Status RunMine(const FlagParser& flags) {
@@ -473,11 +454,11 @@ Status RunMine(const FlagParser& flags) {
       // Rows past the snapshot's coverage are tail chunks appended since it
       // was written (ingest --append): fold them into the memo so the
       // repair only ever re-counts the delta.
-      TransactionDatabase flat = session.Flatten();
-      TransactionDatabase tail(flat.num_items());
-      for (size_t row = state->num_baskets; row < flat.num_baskets();
+      const TransactionDatabase& rows = session.database();
+      TransactionDatabase tail(rows.num_items());
+      for (size_t row = state->num_baskets; row < rows.num_baskets();
            ++row) {
-        CORRMINE_RETURN_NOT_OK(tail.AddBasket(flat.basket(row)));
+        CORRMINE_RETURN_NOT_OK(tail.AddBasket(rows.basket(row)));
       }
       CORRMINE_RETURN_NOT_OK(ApplyAppendedChunk(&*state, tail));
       std::cerr << "[repair] folded " << tail.num_baskets()
@@ -530,7 +511,7 @@ Status RunMine(const FlagParser& flags) {
               << state->counts.size() << " memoized counts)\n";
   }
 
-  return EmitMineStats(flags, result, session.cache(), session.metrics());
+  return EmitMineStats(flags, result, session.metrics());
 }
 
 Status RunDependencies(const FlagParser& flags) {
@@ -575,9 +556,7 @@ Status RunCheck(const FlagParser& flags) {
   CORRMINE_ASSIGN_OR_RETURN(
       MiningSession session,
       MiningSession::Open(flags.positional()[1], session_options));
-  // The permutation test shuffles a contiguous row store; reassemble it in
-  // original basket order from the session's shards.
-  TransactionDatabase db = session.Flatten();
+  const TransactionDatabase& db = session.database();
   std::string items_arg = flags.GetString("items", "");
   if (items_arg.empty()) {
     return Status::InvalidArgument("check: --items A,B[,C...] is required");
@@ -772,6 +751,48 @@ Status RunGenerate(const FlagParser& flags) {
   return Status::OK();
 }
 
+/// A subcommand and the flags it accepts. --help and --kernel are resolved
+/// in Main and accepted everywhere.
+struct Command {
+  std::string_view name;
+  Status (*run)(const FlagParser&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"mine", RunMine,
+       {"names", "support-count", "cell-fraction", "confidence-level",
+        "max-level", "min-expected", "threads", "provider", "out-of-core",
+        "memory-budget", "partition-budget", "spill-dir", "keep-spill",
+        "algo", "walks", "resume-from", "append", "border-out", "out",
+        "stats-json", "stats", "trace-out", "pmu", "profile-out", "progress",
+        "report", "fdr"}},
+      {"check", RunCheck, {"items", "rounds", "threads", "provider", "names"}},
+      {"dependencies", RunDependencies, {"confidence-level", "min-expected"}},
+      {"rules", RunRules,
+       {"min-support", "min-confidence", "algo", "threads", "provider",
+        "names"}},
+      {"ingest", RunIngest, {"append", "retire"}},
+      {"generate", RunGenerate, {"out", "baskets", "seed", "format"}},
+  };
+  return commands;
+}
+
+/// Rejects any flag `command` does not accept, so a typo or a removed flag
+/// fails loudly instead of being silently ignored.
+Status CheckFlags(const Command& command, const FlagParser& flags) {
+  for (const std::string& name : flags.FlagNames()) {
+    if (name == "help" || name == "kernel") continue;
+    if (std::find(command.flags.begin(), command.flags.end(), name) ==
+        command.flags.end()) {
+      return Status::InvalidArgument(std::string(command.name) +
+                                     ": unknown flag --" + name);
+    }
+  }
+  return Status::OK();
+}
+
 int Main(int argc, const char* const* argv) {
   auto flags_or = FlagParser::Parse(argc - 1, argv + 1);
   if (!flags_or.ok()) {
@@ -795,24 +816,17 @@ int Main(int argc, const char* const* argv) {
       return 2;
     }
   }
-  const std::string& command = flags.positional()[0];
-  Status status = Status::OK();
-  if (command == "mine") {
-    status = RunMine(flags);
-  } else if (command == "check") {
-    status = RunCheck(flags);
-  } else if (command == "dependencies") {
-    status = RunDependencies(flags);
-  } else if (command == "rules") {
-    status = RunRules(flags);
-  } else if (command == "ingest") {
-    status = RunIngest(flags);
-  } else if (command == "generate") {
-    status = RunGenerate(flags);
-  } else {
-    std::cerr << "unknown command: " << command << "\n" << kUsage;
+  const std::string& name = flags.positional()[0];
+  const auto& commands = Commands();
+  const auto command =
+      std::find_if(commands.begin(), commands.end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (command == commands.end()) {
+    std::cerr << "unknown command: " << name << "\n" << kUsage;
     return 2;
   }
+  Status status = CheckFlags(*command, flags);
+  if (status.ok()) status = command->run(flags);
   if (!status.ok()) {
     std::cerr << status.ToString() << "\n";
     return 1;

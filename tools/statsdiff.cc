@@ -7,7 +7,7 @@
 //       [--counters P1,P2,...]    also require exact equality for runtime
 //                                 counters/gauges whose name starts with one
 //                                 of the given prefixes (e.g.
-//                                 "miner.,count_provider.,cache.", or
+//                                 "miner.,count_provider.", or
 //                                 "kernel." for the counting-kernel word
 //                                 counters, which are kernel-invariant)
 //   statsdiff --validate-trace <trace.json>
@@ -17,7 +17,8 @@
 // The deterministic section is compared exactly, using the raw number
 // literals from the file — never parsed doubles, so 64-bit counters compare
 // at full precision. Any drift there is a regression: that section is
-// contractually byte-identical across --threads and --shards (DESIGN.md §6).
+// contractually byte-identical across --threads and --provider (DESIGN.md
+// §6). Its "cache" field is a fixed null in schema v1.
 // Runtime timings and "mem.*" gauges are machine noise; they are summarized,
 // and only enforced when --timing-tolerance is given.
 //
