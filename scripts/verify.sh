@@ -307,13 +307,13 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B build-tsan -S . -DCORRMINE_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j \
     --target thread_pool_test miner_test batch_tables_test session_test \
-    trace_test profiler_test kernel_differential_test \
+    metrics_test trace_test profiler_test kernel_differential_test \
     scheduler_determinism_test incremental_differential_test \
     border_state_test differential_miners_test counting_column_test \
     outofcore_test >/dev/null
   (cd build-tsan &&
    ctest --output-on-failure \
-     -R '^(thread_pool_test|miner_test|batch_tables_test|session_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
+     -R '^(thread_pool_test|miner_test|batch_tables_test|session_test|metrics_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
 fi
 
 echo "verify: OK"

@@ -1,7 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <new>
 #include <sstream>
@@ -9,13 +8,6 @@
 namespace corrmine {
 
 namespace {
-
-uint64_t SteadyNowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Index of the log2 bucket covering `value` (0 for values 0 and 1).
 size_t BucketIndex(uint64_t value) {
@@ -105,10 +97,6 @@ Histogram::Data Histogram::Value() const {
   return data;
 }
 
-MetricsRegistry::MetricsRegistry() {
-  if constexpr (kMetricsEnabled) epoch_ns_ = SteadyNowNanos();
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* global = new MetricsRegistry();
   return *global;
@@ -135,27 +123,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   return slot.get();
 }
 
-void MetricsRegistry::RecordSpan(const std::string& name, uint64_t start_ns,
-                                 uint64_t duration_ns) {
-  if constexpr (!kMetricsEnabled) {
-    (void)name;
-    (void)start_ns;
-    (void)duration_ns;
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (spans_.size() >= kMaxTraceSpans) {
-    ++spans_dropped_;
-    return;
-  }
-  spans_.push_back(TraceSpan{name, start_ns, duration_ns});
-}
-
-uint64_t MetricsRegistry::NowNanos() const {
-  if constexpr (!kMetricsEnabled) return 0;
-  return SteadyNowNanos() - epoch_ns_;
-}
-
 MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
   Snapshot snapshot;
   std::lock_guard<std::mutex> lock(mu_);
@@ -168,8 +135,6 @@ MetricsRegistry::Snapshot MetricsRegistry::Snap() const {
   for (const auto& [name, histogram] : histograms_) {
     snapshot.histograms[name] = histogram->Value();
   }
-  snapshot.spans = spans_;
-  snapshot.spans_dropped = spans_dropped_;
   return snapshot;
 }
 
@@ -200,14 +165,7 @@ std::string MetricsRegistry::ToJson() const {
         << ",\"sum\":" << data.sum << ",\"min\":" << data.min
         << ",\"max\":" << data.max << '}';
   }
-  out << "},\"spans\":[";
-  for (size_t i = 0; i < snapshot.spans.size(); ++i) {
-    if (i > 0) out << ',';
-    out << "{\"name\":\"" << JsonEscape(snapshot.spans[i].name)
-        << "\",\"start_ns\":" << snapshot.spans[i].start_ns
-        << ",\"duration_ns\":" << snapshot.spans[i].duration_ns << '}';
-  }
-  out << "],\"spans_dropped\":" << snapshot.spans_dropped << '}';
+  out << "}}";
   return out.str();
 }
 
@@ -228,14 +186,6 @@ std::string MetricsRegistry::DumpMetrics() const {
     if (data.count > 0) out << ", mean " << data.sum / data.count;
     out << "\n";
   }
-  if (!snapshot.spans.empty()) {
-    out << "-- trace spans (" << snapshot.spans.size() << " kept, "
-        << snapshot.spans_dropped << " dropped) --\n";
-    for (const TraceSpan& span : snapshot.spans) {
-      out << "  " << span.name << " @" << span.start_ns << "ns +"
-          << span.duration_ns << "ns\n";
-    }
-  }
   return out.str();
 }
 
@@ -255,23 +205,6 @@ void MetricsRegistry::Reset() {
     entry.second->~Histogram();
     new (entry.second.get()) Histogram();
   }
-  spans_.clear();
-  spans_dropped_ = 0;
-}
-
-PhaseTimer::PhaseTimer(MetricsRegistry* registry, std::string name)
-    : registry_(registry), name_(std::move(name)) {
-  if constexpr (kMetricsEnabled) start_ns_ = registry_->NowNanos();
-}
-
-void PhaseTimer::Stop() {
-  if constexpr (!kMetricsEnabled) return;
-  if (stopped_) return;
-  stopped_ = true;
-  uint64_t duration = registry_->NowNanos() - start_ns_;
-  registry_->GetHistogram(name_ + ".ns")->Observe(duration);
-  registry_->GetCounter(name_ + ".calls")->Add();
-  registry_->RecordSpan(name_, start_ns_, duration);
 }
 
 }  // namespace corrmine

@@ -13,8 +13,8 @@ namespace corrmine {
 /// profiling subsystem. A PmuGroup opens one perf_event_open group — cycles
 /// (leader), instructions, LLC loads/misses, branch misses, and the
 /// task-clock software counter — bound to the calling thread, and reads all
-/// of them atomically with one PERF_FORMAT_GROUP read. ProfileScope
-/// (common/profiler.h) reads a group at phase entry/exit and attributes the
+/// of them atomically with one PERF_FORMAT_GROUP read. PhaseScope
+/// (common/phase_scope.h) reads a group at phase entry/exit and attributes the
 /// delta to the phase.
 ///
 /// Degradation contract: perf_event_open is routinely denied in containers

@@ -18,7 +18,7 @@ namespace corrmine {
 /// Phase-attributed profiling subsystem (DESIGN.md §13), two coordinated
 /// collectors behind one Start/Stop session:
 ///
-///  * PMU attribution — each instrumented phase (ProfileScope) reads a
+///  * PMU attribution — each instrumented phase (PhaseScope) reads a
 ///    per-thread perf_event group at entry and exit and charges the delta
 ///    (cycles, instructions, LLC loads/misses, branch misses, task-clock)
 ///    to the phase name, so stats-JSON's "profile" section answers *why* a
@@ -48,12 +48,12 @@ struct ProfilerOptions {
 
 /// Aggregated PMU attribution for one phase name.
 struct PhaseProfile {
-  uint64_t scopes = 0;  ///< ProfileScope entries recorded into this phase.
+  uint64_t scopes = 0;  ///< PhaseScope exits recorded into this phase.
   PmuCounts counts;
 };
 
 /// Process-wide profiler singleton. Start/Stop bound a session, mirroring
-/// Tracer; like Tracer, they must not race with active ProfileScopes (the
+/// Tracer; like Tracer, they must not race with active PhaseScopes (the
 /// CLI starts before the run and stops after it returns). In the
 /// metrics-off build the full API remains callable — Start/Stop no-op,
 /// snapshots are empty, and RenderProfileJson still produces a valid
@@ -80,7 +80,7 @@ class Profiler {
     return sampling_active_.load(std::memory_order_acquire);
   }
 
-  /// Merges one phase-scoped counter delta (ProfileScope destructor).
+  /// Merges one phase-scoped counter delta (PhaseScope destructor).
   void RecordPhase(const char* phase, const PmuCounts& delta);
 
   /// The calling thread's counter group for the current session, opened
@@ -141,51 +141,6 @@ class Profiler {
   std::map<std::string, PhaseProfile> phases_;
   std::vector<std::unique_ptr<PmuGroup>> groups_;
 };
-
-#ifdef CORRMINE_METRICS_DISABLED
-
-/// No-op shell: sizeof == 1, no clocks, no syscalls (pinned by
-/// profiler_off_test).
-class ProfileScope {
- public:
-  explicit ProfileScope(const char* /*phase*/) {}
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-};
-
-#else  // profiling compiled in
-
-/// RAII phase attribution: reads the calling thread's PMU group at
-/// construction and destruction and charges the delta to `phase` (which
-/// must have static storage duration). When the PMU collector is inactive
-/// the constructor is one relaxed load.
-class ProfileScope {
- public:
-  explicit ProfileScope(const char* phase) {
-    Profiler& profiler = Profiler::Global();
-    if (!profiler.pmu_active()) return;
-    PmuGroup* group = profiler.ThreadGroup();
-    if (group == nullptr) return;
-    group_ = group;
-    phase_ = phase;
-    entry_ = group->Read();
-  }
-
-  ~ProfileScope() {
-    if (group_ == nullptr) return;
-    Profiler::Global().RecordPhase(phase_, group_->Read() - entry_);
-  }
-
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  PmuGroup* group_ = nullptr;
-  const char* phase_ = nullptr;
-  PmuCounts entry_;
-};
-
-#endif  // CORRMINE_METRICS_DISABLED
 
 }  // namespace corrmine
 

@@ -12,14 +12,14 @@
 
 namespace corrmine {
 
-namespace {
-
 uint64_t SteadyNowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+namespace {
 
 size_t RoundUpPow2(size_t n) {
   size_t p = 8;
@@ -186,7 +186,7 @@ std::string Tracer::ToChromeJson() const {
   for (const ThreadTrace& thread : threads) {
     dropped_total += thread.dropped;
     // Re-balance this thread's window of the event stream. Spans nest
-    // strictly per thread (TraceScope is stack-scoped), so an end either
+    // strictly per thread (span scopes are stack-scoped), so an end either
     // matches the innermost open begin or its begin was overwritten before
     // the window — in which case every enclosing begin was too, the stack
     // is empty, and the end is dropped.

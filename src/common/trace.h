@@ -118,6 +118,11 @@ class Tracer {
   /// Nanoseconds since Start (steady clock).
   uint64_t NowNanos() const;
 
+  /// A SteadyNowNanos() reading as a session timestamp (ns since Start).
+  uint64_t SinceStart(uint64_t steady_ns) const {
+    return steady_ns - epoch_ns_;
+  }
+
   /// The calling thread's ring for the current session (registering the
   /// thread on first use). Only meaningful while active.
   TraceRing* ThreadRing();
@@ -182,9 +187,12 @@ inline void TraceInstant(const char* /*name*/, int64_t /*level*/ = -1,
 
 #else  // tracing compiled in
 
-/// RAII span: begin event at construction, end event at destruction, both
-/// into the calling thread's ring. When the tracer is inactive the
-/// constructor is one relaxed load and no clock is read.
+/// RAII trace-only span: begin event at construction, end event at
+/// destruction, both into the calling thread's ring. When the tracer is
+/// inactive the constructor is one relaxed load and no clock is read.
+/// Phase boundaries use PhaseScope (common/phase_scope.h) instead; this
+/// primitive is for per-morsel spans (pool.task, column.count_block), where
+/// a registry lookup per morsel would take the registry mutex.
 class TraceScope {
  public:
   explicit TraceScope(const char* name, int64_t level = -1,
@@ -222,6 +230,10 @@ inline void TraceInstant(const char* name, int64_t level = -1,
 }
 
 #endif  // CORRMINE_METRICS_DISABLED
+
+/// Steady-clock nanoseconds from an arbitrary origin: the one clock behind
+/// trace timestamps and phase durations.
+uint64_t SteadyNowNanos();
 
 /// Peak resident set size of this process in bytes (getrusage), 0 where
 /// unsupported. Not gated on the metrics switch — callers feed it into a

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/phase_scope.h"
 #include "common/thread_pool.h"
 
 namespace corrmine {
@@ -111,7 +112,7 @@ StatusOr<std::vector<SparseContingencyTable>> BuildSparseTablesBatch(
   CORRMINE_RETURN_NOT_OK(ValidateBatchArgs(candidates, db.num_baskets(),
                                            db.num_items(), num_threads));
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "batch_tables.build");
+  PhaseScope phase(&registry, "batch_tables.build");
   registry.GetCounter("batch_tables.candidates")->Add(candidates.size());
   registry.GetCounter("batch_tables.baskets")->Add(db.num_baskets());
 

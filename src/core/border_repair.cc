@@ -6,8 +6,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/profiler.h"
-#include "common/trace.h"
+#include "common/phase_scope.h"
 
 namespace corrmine {
 
@@ -95,9 +94,9 @@ void MemoCountProvider::CountAllPresentBatchImpl(
 
 Status ApplyAppendedChunk(BorderState* state,
                           const TransactionDatabase& chunk) {
-  TraceScope span("repair.apply_append", -1,
-                  static_cast<int64_t>(chunk.num_baskets()),
-                  static_cast<int64_t>(state->counts.size()));
+  PhaseScope phase(&MetricsRegistry::Global(), "repair.apply_append", -1,
+                   static_cast<int64_t>(chunk.num_baskets()),
+                   static_cast<int64_t>(state->counts.size()));
   // One small vertical index over just the delta rows answers every
   // memoized query; counts are exact integers, so adding the per-chunk
   // count is exactly re-counting over base+delta.
@@ -117,9 +116,9 @@ Status ApplyAppendedChunk(BorderState* state,
 
 Status ApplyRetiredChunk(BorderState* state,
                          const TransactionDatabase& chunk) {
-  TraceScope span("repair.apply_retire", -1,
-                  static_cast<int64_t>(chunk.num_baskets()),
-                  static_cast<int64_t>(state->counts.size()));
+  PhaseScope phase(&MetricsRegistry::Global(), "repair.apply_retire", -1,
+                   static_cast<int64_t>(chunk.num_baskets()),
+                   static_cast<int64_t>(state->counts.size()));
   if (chunk.num_baskets() > state->num_baskets) {
     return Status::InvalidArgument(
         "retired chunk has more baskets than the snapshot covers");
@@ -146,10 +145,9 @@ Status ApplyRetiredChunk(BorderState* state,
 StatusOr<MiningResult> RepairBorder(const MiningSession& session,
                                     BorderState* state) {
   CORRMINE_RETURN_NOT_OK(ValidateStateAgainstSession(*state, session));
-  TraceScope span("repair.mine", -1,
-                  static_cast<int64_t>(state->num_baskets),
-                  static_cast<int64_t>(state->counts.size()));
-  ProfileScope profile("repair.mine");
+  PhaseScope phase(&session.metrics(), "repair.mine", -1,
+                   static_cast<int64_t>(state->num_baskets),
+                   static_cast<int64_t>(state->counts.size()));
   MinerOptions options = state->config.ToMinerOptions();
   options.num_threads = session.num_threads();
   options.pool = session.pool();

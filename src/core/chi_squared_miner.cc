@@ -10,7 +10,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/profiler.h"
+#include "common/phase_scope.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "hash/itemset_set.h"
@@ -398,10 +398,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       options.metrics ? *options.metrics : MetricsRegistry::Global();
   registry.GetCounter("miner.runs")->Add();
   MinerCounters counters(&registry);
-  PhaseTimer run_timer(&registry, "miner.mine");
-  TraceScope run_span("miner.mine", -1, -1,
-                      static_cast<int64_t>(num_items));
-  ProfileScope run_profile("miner.mine");
+  PhaseScope run_phase(&registry, "miner.mine", -1, -1,
+                       static_cast<int64_t>(num_items));
   // Which counting kernel served this run, as a trace marker (value =
   // KernelIsa). Deliberately kept out of the deterministic stats — the
   // kernel is machine-dependent while the counts it produces are not.
@@ -480,10 +478,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
   std::vector<Itemset> not_sig;
 
   for (int level = 2; level <= max_level; ++level) {
-    PhaseTimer level_timer(&registry, "miner.level");
-    TraceScope level_span("miner.level", level, -1,
-                          static_cast<int64_t>(cand.size()));
-    ProfileScope level_profile("miner.level");
+    PhaseScope level_phase(&registry, "miner.level", level, -1,
+                           static_cast<int64_t>(cand.size()));
     LevelStats stats;
     stats.level = level;
     stats.possible_itemsets = BinomialCount(num_items, level);
@@ -517,25 +513,20 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       TraceInstant("miner.candidates", level, -1,
                    static_cast<int64_t>(cand.size()));
       LevelQueryPlan plan = [&] {
-        PhaseTimer plan_timer(&registry, "miner.plan");
-        TraceScope plan_span("miner.plan", level, -1,
-                             static_cast<int64_t>(cand.size()));
-        ProfileScope plan_profile("miner.plan");
+        PhaseScope plan_phase(&registry, "miner.plan", level, -1,
+                              static_cast<int64_t>(cand.size()));
         return LevelQueryPlan::Build(cand, level, pool);
       }();
       std::vector<uint64_t> query_counts(plan.queries.size());
       {
-        PhaseTimer count_timer(&registry, "miner.count_batch");
-        TraceScope count_span("miner.count_batch", level, -1,
-                              static_cast<int64_t>(plan.queries.size()));
-        ProfileScope count_profile("miner.count_batch");
+        PhaseScope count_phase(&registry, "miner.count_batch", level, -1,
+                               static_cast<int64_t>(plan.queries.size()));
         provider.CountAllPresentBatch(plan.queries, query_counts, pool);
       }
 
       std::vector<EvalSlot> slots(cand.size());
-      TraceScope eval_span("miner.evaluate", level, -1,
-                           static_cast<int64_t>(cand.size()));
-      ProfileScope eval_profile("miner.evaluate");
+      PhaseScope eval_phase(&registry, "miner.evaluate", level, -1,
+                            static_cast<int64_t>(cand.size()));
       // The fan-in appends NOTSIG members in candidate order; runs of a
       // shared (k-1)-prefix close as soon as the next member's prefix
       // differs, and each closed run's raw joins are enumerated as pool
@@ -634,8 +625,8 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       if (gen_next) {
         joiner.CloseRun(pool, next_not_sig.size());
         joiner.Drain(pool);
-        PhaseTimer gen_timer(&registry, "miner.generate");
-        ProfileScope gen_profile("miner.generate");
+        PhaseScope gen_phase(&registry, "miner.generate", level, -1,
+                             static_cast<int64_t>(joiner.joins.size()));
         CORRMINE_RETURN_NOT_OK(ParallelFor(
             pool, joiner.joins.size(), 1,
             [&](size_t begin, size_t end) -> Status {

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/profiler.h"
+#include "common/phase_scope.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "io/transaction_io.h"
@@ -22,22 +22,24 @@ MiningSession::MiningSession(TransactionDatabase db,
       provider_kind_(options.provider),
       threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
       metrics_(options.metrics) {
-  TraceScope span("session.open", -1, -1,
-                  static_cast<int64_t>(db_->num_baskets()));
-  ProfileScope profile("io.load");
-  switch (provider_kind_) {
-    case SessionProvider::kBitmap:
-      bitmap_provider_ = std::make_unique<BitmapCountProvider>(*db_);
-      provider_ = bitmap_provider_.get();
-      break;
-    case SessionProvider::kCompressed:
-      compressed_provider_ = std::make_unique<CompressedCountProvider>(*db_);
-      provider_ = compressed_provider_.get();
-      break;
-    case SessionProvider::kScan:
-      scan_provider_ = std::make_unique<ScanCountProvider>(*db_);
-      provider_ = scan_provider_.get();
-      break;
+  {
+    PhaseScope phase(&metrics(), "itemset.index_build", -1, -1,
+                     static_cast<int64_t>(db_->num_baskets()));
+    switch (provider_kind_) {
+      case SessionProvider::kBitmap:
+        bitmap_provider_ = std::make_unique<BitmapCountProvider>(*db_);
+        provider_ = bitmap_provider_.get();
+        break;
+      case SessionProvider::kCompressed:
+        compressed_provider_ =
+            std::make_unique<CompressedCountProvider>(*db_);
+        provider_ = compressed_provider_.get();
+        break;
+      case SessionProvider::kScan:
+        scan_provider_ = std::make_unique<ScanCountProvider>(*db_);
+        provider_ = scan_provider_.get();
+        break;
+    }
   }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   metrics().GetGauge("mem.peak_rss_bytes")
@@ -100,9 +102,9 @@ void MiningSession::PublishMemoryGauges() const {
 }
 
 Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
-  TraceScope span("session.append", -1,
-                  static_cast<int64_t>(chunk.num_baskets()),
-                  static_cast<int64_t>(chunk.num_items()));
+  PhaseScope phase(&metrics(), "session.append", -1,
+                   static_cast<int64_t>(chunk.num_baskets()),
+                   static_cast<int64_t>(chunk.num_items()));
   if (chunk.num_items() > db_->num_items()) {
     CORRMINE_RETURN_NOT_OK(db_->GrowItemSpace(chunk.num_items()));
   }
@@ -117,7 +119,8 @@ Status MiningSession::AppendBatch(const TransactionDatabase& chunk) {
 }
 
 StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
-  TraceScope span("session.mine", -1, -1, static_cast<int64_t>(threads_));
+  PhaseScope phase(&metrics(), "session.mine", -1, -1,
+                   static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   if (options.metrics == nullptr) options.metrics = metrics_;
@@ -128,8 +131,8 @@ StatusOr<MiningResult> MiningSession::Mine(MinerOptions options) const {
 
 StatusOr<MiningResult> MiningSession::MineRandomWalk(
     RandomWalkOptions options) const {
-  TraceScope span("session.mine_random_walk", -1, -1,
-                  static_cast<int64_t>(threads_));
+  PhaseScope phase(&metrics(), "session.mine_random_walk", -1, -1,
+                   static_cast<int64_t>(threads_));
   options.miner.num_threads = threads_;
   options.miner.pool = pool_.get();
   if (options.miner.metrics == nullptr) options.miner.metrics = metrics_;
@@ -140,8 +143,8 @@ StatusOr<MiningResult> MiningSession::MineRandomWalk(
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
     AprioriOptions options) const {
-  TraceScope span("session.mine_frequent", -1, -1,
-                  static_cast<int64_t>(threads_));
+  PhaseScope phase(&metrics(), "session.mine_frequent", -1, -1,
+                   static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   auto result = MineFrequentItemsets(provider(), db_->num_items(), options);
@@ -151,8 +154,8 @@ StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequent(
 
 StatusOr<std::vector<FrequentItemset>> MiningSession::MineFrequentEclat(
     EclatOptions options) const {
-  TraceScope span("session.mine_frequent_eclat", -1, -1,
-                  static_cast<int64_t>(threads_));
+  PhaseScope phase(&metrics(), "session.mine_frequent_eclat", -1, -1,
+                   static_cast<int64_t>(threads_));
   options.num_threads = threads_;
   options.pool = pool_.get();
   auto result = MineFrequentItemsetsEclat(*db_, options);

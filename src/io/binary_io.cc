@@ -26,7 +26,7 @@ void AppendVarint(std::string* out, uint64_t value) {
   out->push_back(static_cast<char>(value));
 }
 
-StatusOr<uint64_t> ReadVarint(const std::string& bytes, size_t* pos) {
+StatusOr<uint64_t> ReadVarint(std::string_view bytes, size_t* pos) {
   uint64_t value = 0;
   int shift = 0;
   while (true) {
@@ -34,7 +34,7 @@ StatusOr<uint64_t> ReadVarint(const std::string& bytes, size_t* pos) {
       return Status::Corruption("truncated varint");
     }
     uint8_t byte = static_cast<uint8_t>(bytes[(*pos)++]);
-    if (shift >= 63 && (byte & 0x7f) > 1) {
+    if (shift == 63 && byte > 1) {
       return Status::Corruption("varint overflow");
     }
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "common/status_or.h"
 #include "itemset/transaction_database.h"
@@ -61,9 +62,10 @@ Status WriteStringToFile(const std::string& bytes, const std::string& path);
 /// LEB128 varint primitives, shared with the other binary codecs (chunked
 /// transaction files, border-state snapshots).
 void AppendVarint(std::string* out, uint64_t value);
-/// Reads one varint at `*pos`, advancing it. Errors on truncation or
-/// values wider than 64 bits.
-StatusOr<uint64_t> ReadVarint(const std::string& bytes, size_t* pos);
+/// Reads one varint at `*pos`, advancing it. Errors on truncation and on
+/// encodings past 64 bits: a 10th byte must be 0 or 1, with no
+/// continuation bit.
+StatusOr<uint64_t> ReadVarint(std::string_view bytes, size_t* pos);
 
 /// True when `path` starts with the binary magic. Thin wrapper over
 /// DetectTransactionFileFormat (io/format_detect.h), kept for callers that

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,21 +20,6 @@ namespace {
 
 size_t AlignUp(size_t value, size_t align) {
   return (value + align - 1) / align * align;
-}
-
-/// Varint reader over the mapped bytes (ReadVarint wants a std::string).
-StatusOr<uint64_t> ReadVarintMem(const uint8_t* data, size_t len,
-                                 size_t* pos) {
-  uint64_t value = 0;
-  int shift = 0;
-  while (*pos < len && shift < 64) {
-    const uint8_t byte = data[*pos];
-    ++*pos;
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-  }
-  return Status::Corruption("CCS: truncated varint in directory");
 }
 
 size_t RawPayloadBytes(const CountingColumn::ContainerView& view) {
@@ -184,20 +170,22 @@ StatusOr<std::unique_ptr<MappedColumnShard>> MappedColumnShard::Open(
   if (payload_base > len) {
     return Status::Corruption("CCS: payload base past end of file");
   }
+  const std::string_view directory(reinterpret_cast<const char*>(data),
+                                   payload_base);
   CORRMINE_ASSIGN_OR_RETURN(const uint64_t num_rows,
-                            ReadVarintMem(data, payload_base, &pos));
+                            ReadVarint(directory, &pos));
   CORRMINE_ASSIGN_OR_RETURN(const uint64_t num_columns,
-                            ReadVarintMem(data, payload_base, &pos));
+                            ReadVarint(directory, &pos));
   shard->num_rows_ = num_rows;
   shard->columns_.reserve(num_columns);
   for (uint64_t item = 0; item < num_columns; ++item) {
     CORRMINE_ASSIGN_OR_RETURN(const uint64_t num_containers,
-                              ReadVarintMem(data, payload_base, &pos));
+                              ReadVarint(directory, &pos));
     auto lazy = std::make_unique<LazyColumn>();
     lazy->entries.reserve(num_containers);
     for (uint64_t c = 0; c < num_containers; ++c) {
       CORRMINE_ASSIGN_OR_RETURN(const uint64_t key,
-                                ReadVarintMem(data, payload_base, &pos));
+                                ReadVarint(directory, &pos));
       if (pos >= payload_base) {
         return Status::Corruption("CCS: truncated container record");
       }
@@ -216,11 +204,11 @@ StatusOr<std::unique_ptr<MappedColumnShard>> MappedColumnShard::Open(
         }
       }
       CORRMINE_ASSIGN_OR_RETURN(const uint64_t count,
-                                ReadVarintMem(data, payload_base, &pos));
+                                ReadVarint(directory, &pos));
       CORRMINE_ASSIGN_OR_RETURN(const uint64_t rel_offset,
-                                ReadVarintMem(data, payload_base, &pos));
+                                ReadVarint(directory, &pos));
       CORRMINE_ASSIGN_OR_RETURN(const uint64_t bytes,
-                                ReadVarintMem(data, payload_base, &pos));
+                                ReadVarint(directory, &pos));
       if (rel_offset % kColumnShardPayloadAlign != 0 ||
           payload_base + rel_offset + bytes > len) {
         return Status::Corruption("CCS: payload out of bounds");

@@ -35,6 +35,7 @@ class BufferedReader {
       if (!TryNext(&byte)) {
         return Status::Corruption("truncated varint in binary stream");
       }
+      if (shift == 63 && byte > 1) break;
       value |= static_cast<uint64_t>(byte & 0x7f) << shift;
       if ((byte & 0x80) == 0) return value;
       shift += 7;

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/phase_scope.h"
 #include "common/string_util.h"
 #include "io/binary_io.h"
 #include "io/chunked_io.h"
@@ -85,6 +86,7 @@ StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
 
 StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
                                                   ItemId num_items_hint) {
+  PhaseScope phase(&MetricsRegistry::Global(), "io.load");
   CORRMINE_ASSIGN_OR_RETURN(TransactionFileFormat format,
                             DetectTransactionFileFormat(path));
   if (format == TransactionFileFormat::kText) {

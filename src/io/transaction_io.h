@@ -23,6 +23,7 @@ StatusOr<std::optional<std::vector<ItemId>>> ParseTransactionLine(
 /// chunked, vs. text — io/format_detect.h) and reads `path` into one
 /// database. `num_items_hint` floors the item space for the text format;
 /// the binary segment headers are authoritative for their own item space.
+/// Timed as phase "io.load" against MetricsRegistry::Global().
 StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
                                                   ItemId num_items_hint = 0);
 

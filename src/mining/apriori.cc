@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/metrics.h"
+#include "common/phase_scope.h"
 #include "common/thread_pool.h"
 
 namespace corrmine {
@@ -67,7 +68,7 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsets(
   if (min_count == 0) min_count = 1;
 
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "apriori.mine");
+  PhaseScope phase(&registry, "apriori.mine");
   Counter* candidates_counted = registry.GetCounter("apriori.candidates");
   Counter* frequent_found = registry.GetCounter("apriori.frequent");
 

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/metrics.h"
+#include "common/phase_scope.h"
 #include "common/thread_pool.h"
 #include "itemset/bitmap.h"
 
@@ -122,7 +123,7 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsEclat(
     pool = owned_pool.get();
   }
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "eclat.mine");
+  PhaseScope phase(&registry, "eclat.mine");
   std::vector<std::vector<FrequentItemset>> branch_results(
       frequent_items.size());
   std::vector<uint64_t> branch_intersections(frequent_items.size(), 0);

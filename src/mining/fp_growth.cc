@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/metrics.h"
+#include "common/phase_scope.h"
 
 namespace corrmine {
 
@@ -164,7 +165,7 @@ StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsFpGrowth(
   }
 
   MetricsRegistry& registry = MetricsRegistry::Global();
-  PhaseTimer timer(&registry, "fp_growth.mine");
+  PhaseScope phase(&registry, "fp_growth.mine");
   std::vector<FrequentItemset> result;
   uint64_t conditional_trees = 0;
   Mine(tree, Itemset{}, min_count, options.max_level, &result,

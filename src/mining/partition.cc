@@ -15,7 +15,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/profiler.h"
+#include "common/phase_scope.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/border_repair.h"
@@ -329,10 +329,10 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   // One partition's pass-1 mine: map the shard, mine at the task's scaled
   // support, keep the capped query recording. Runs on a worker under
   // admission, or inline on the caller at admitted = 1.
-  const auto mine_partition = [&base, query_cap](PartitionTask* t) {
-    ProfileScope pass1_profile("partition.pass1");
-    TraceScope span("outofcore.mine_partition", -1,
-                    static_cast<int>(t->index), static_cast<int>(t->rows));
+  const auto mine_partition = [&base, &registry,
+                               query_cap](PartitionTask* t) {
+    PhaseScope phase(&registry, "outofcore.mine_partition", -1,
+                     static_cast<int>(t->index), static_cast<int>(t->rows));
     if (t->num_items == 0) return;  // all-empty baskets: nothing to record
     StatusOr<std::unique_ptr<io::MappedColumnShard>> shard =
         io::MappedColumnShard::Open(t->path);
@@ -406,8 +406,8 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
     if (local_rows == 0) return Status::OK();
     const size_t index = part_paths.size();
     const ItemId part_items = static_cast<ItemId>(rows_by_item.size());
-    TraceScope span("outofcore.spill_partition", -1, static_cast<int>(index),
-                    static_cast<int>(local_rows));
+    PhaseScope phase(&registry, "outofcore.spill_partition", -1,
+                     static_cast<int>(index), static_cast<int>(local_rows));
     CompressedVerticalIndex vindex(local_rows, std::move(rows_by_item));
     rows_by_item = {};
     std::string part_path =
@@ -510,7 +510,7 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   ItemId num_items = 0;
   Status spill_status;
   {
-    ProfileScope spill_profile("partition.spill");
+    PhaseScope phase(&registry, "partition.spill");
     spill_status = io::StreamTransactionFile(
         path, &num_items,
         [&](std::vector<ItemId> basket) -> Status {
@@ -571,7 +571,7 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
   std::vector<uint64_t> totals(candidates.size(), 0);
   const auto pass2_start = std::chrono::steady_clock::now();
   {
-    ProfileScope pass2_profile("partition.pass2");
+    PhaseScope phase(&registry, "partition.pass2");
     const size_t num_parts = part_paths.size();
     const size_t grain = (num_parts + admitted - 1) / admitted;
     const size_t slot_bound = ParallelForSlotBound(pool, num_parts, grain);
@@ -582,11 +582,10 @@ StatusOr<MiningResult> MineCorrelationsOutOfCore(
     CORRMINE_RETURN_NOT_OK(ParallelForSlots(
         pool, num_parts, grain,
         [&](size_t slot, size_t begin, size_t end) -> Status {
-          ProfileScope slot_profile("partition.pass2");
           for (size_t p = begin; p < end; ++p) {
-            TraceScope span("outofcore.count_partition", -1,
-                            static_cast<int>(p),
-                            static_cast<int>(candidates.size()));
+            PhaseScope phase(&registry, "outofcore.count_partition", -1,
+                             static_cast<int>(p),
+                             static_cast<int>(candidates.size()));
             CORRMINE_ASSIGN_OR_RETURN(
                 std::unique_ptr<io::MappedColumnShard> shard,
                 io::MappedColumnShard::Open(part_paths[p]));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "io/binary_io.h"
+#include "io/stream_reader.h"
 #include "io/transaction_io.h"
 #include "test_util.h"
 
@@ -167,6 +168,76 @@ TEST(BinaryIoTest, RejectsOutOfRangeItems) {
   bytes += static_cast<char>(1);
   bytes += static_cast<char>(7);
   EXPECT_TRUE(DecodeBinaryTransactions(bytes).status().IsCorruption());
+}
+
+// A small `value` (< 128) spread over 11 bytes by continuation bits: the
+// 10th byte carries a continuation bit, so the encoding runs past bit 63.
+// A reader that only bounds the decoded value accepts it.
+std::string OverlongVarint(uint8_t value) {
+  std::string bytes(1, static_cast<char>(0x80 | value));
+  bytes.append(9, static_cast<char>(0x80));
+  bytes += '\0';
+  return bytes;
+}
+
+TEST(BinaryIoTest, Uint64MaxVarintRoundTrips) {
+  std::string bytes;
+  AppendVarint(&bytes, UINT64_MAX);
+  ASSERT_EQ(bytes.size(), 10u);
+  size_t pos = 0;
+  auto value = ReadVarint(bytes, &pos);
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, UINT64_MAX);
+  EXPECT_EQ(pos, bytes.size());
+  // A 10th byte above 1 would need bits past 63.
+  bytes.back() = static_cast<char>(0x02);
+  pos = 0;
+  EXPECT_TRUE(ReadVarint(bytes, &pos).status().IsCorruption());
+  // 80 x9, 81, 01 would need a shift by 70.
+  std::string shift70(9, static_cast<char>(0x80));
+  shift70 += "\x81\x01";
+  pos = 0;
+  EXPECT_TRUE(ReadVarint(shift70, &pos).status().IsCorruption());
+}
+
+TEST(BinaryIoTest, OverlongVarintInHeaderIsCorruption) {
+  // num_items = 2 (overlong), num_baskets = 0: valid but for the varint.
+  const std::string items_overlong = "CMB1" + OverlongVarint(2) + '\0';
+  EXPECT_TRUE(
+      DecodeBinaryTransactions(items_overlong).status().IsCorruption());
+  const std::string baskets_overlong = "CMB1\x02" + OverlongVarint(0);
+  EXPECT_TRUE(
+      DecodeBinaryTransactions(baskets_overlong).status().IsCorruption());
+}
+
+TEST(BinaryIoTest, OverlongVarintInBasketIsCorruption) {
+  // num_items = 2, num_baskets = 1, then one basket {1} with either its
+  // size or its item delta overlong.
+  const std::string size_overlong =
+      "CMB1\x02\x01" + OverlongVarint(1) + '\x01';
+  EXPECT_TRUE(
+      DecodeBinaryTransactions(size_overlong).status().IsCorruption());
+  const std::string delta_overlong = "CMB1\x02\x01\x01" + OverlongVarint(1);
+  EXPECT_TRUE(
+      DecodeBinaryTransactions(delta_overlong).status().IsCorruption());
+}
+
+TEST(BinaryIoTest, StreamingReaderRejectsHighBitsInTenthByte) {
+  // The out-of-core spill pass reads CMB1 through its own buffered reader.
+  // Here the delta's 10th byte is 2: bit 64, which a uint64 cannot hold.
+  std::string delta(1, static_cast<char>(0x81));
+  delta.append(8, static_cast<char>(0x80));
+  delta += '\x02';
+  const std::string path = ::testing::TempDir() + "/corrmine_overlong.bin";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "CMB1\x02\x01\x01" << delta;
+  }
+  ItemId num_items = 0;
+  Status streamed = StreamTransactionFile(
+      path, &num_items, [](std::vector<ItemId>) { return Status::OK(); });
+  EXPECT_TRUE(streamed.IsCorruption()) << streamed.ToString();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -362,6 +362,35 @@ TEST(CountingColumnTest, ShardFileRejectsCorruption) {
   std::filesystem::remove(path);
 }
 
+TEST(CountingColumnTest, ShardDirectoryRejectsOverlongVarint) {
+  // Magic, payload base (little-endian) at the end of the directory, and a
+  // directory of num_rows, then num_columns = 0. num_rows is 1 + 2^64: its
+  // 10th byte is 2, a bit a uint64 cannot hold.
+  std::string bytes(io::kColumnShardMagic, sizeof(io::kColumnShardMagic));
+  std::string directory(1, static_cast<char>(0x81));
+  directory.append(8, static_cast<char>(0x80));
+  directory += '\x02';
+  directory += '\0';
+  const uint64_t payload_base = bytes.size() + 8 + directory.size();
+  for (int i = 0; i < 8; ++i) {
+    bytes += static_cast<char>((payload_base >> (8 * i)) & 0xff);
+  }
+  bytes += directory;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "corrmine_ccs1_overlong.ccs")
+          .string();
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+  }
+  auto shard = io::MappedColumnShard::Open(path);
+  ASSERT_FALSE(shard.ok());
+  EXPECT_TRUE(shard.status().IsCorruption()) << shard.status().ToString();
+  std::filesystem::remove(path);
+}
+
 TEST(CountingColumnTest, BlockedExecutorMatchesNaiveCounts) {
   auto db_or = datagen::GenerateQuestData({.num_transactions = 3000,
                                           .num_items = 120,

@@ -1,14 +1,21 @@
 #include "common/metrics.h"
 
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/phase_scope.h"
+#include "common/profiler.h"
+#include "common/thread_pool.h"
+#include "common/trace.h"
 #include "core/chi_squared_miner.h"
 #include "core/chi_squared_test.h"
 #include "core/contingency_table.h"
 #include "datagen/quest_generator.h"
+#include "io/json_reader.h"
 #include "itemset/count_provider.h"
 
 namespace corrmine {
@@ -95,27 +102,106 @@ TEST(RegistryTest, ToJsonHasSchemaSections) {
   EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"spans\":["), std::string::npos);
+  // Spans live in the trace rings only; the registry keeps no span tail.
+  EXPECT_EQ(json.find("\"spans"), std::string::npos);
   // Single line by construction (grep-comparable).
   EXPECT_EQ(json.find('\n'), std::string::npos);
 }
 
-TEST(PhaseTimerTest, RecordsHistogramCounterAndSpan) {
+// --- PhaseScope: one scope feeds histogram, counter and trace ring -----
+
+/// Begin/end events of `name` recorded by the global tracer, over all
+/// threads.
+struct SpanEdges {
+  std::vector<TraceEvent> begins;
+  std::vector<TraceEvent> ends;
+};
+SpanEdges CollectEdges(const std::string& name) {
+  SpanEdges edges;
+  for (const Tracer::ThreadTrace& thread : Tracer::Global().Collect()) {
+    for (const TraceEvent& event : thread.events) {
+      if (name != event.name) continue;
+      if (event.phase == TraceEventPhase::kBegin) edges.begins.push_back(event);
+      if (event.phase == TraceEventPhase::kEnd) edges.ends.push_back(event);
+    }
+  }
+  return edges;
+}
+
+class PhaseScopeTest : public ::testing::Test {
+ protected:
+  void TearDown() override { Tracer::Global().Stop(); }
+};
+
+TEST_F(PhaseScopeTest, InactiveTracerStillFeedsTheRegistry) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  Tracer::Global().Start();  // Drop rings left by earlier tests...
+  Tracer::Global().Stop();   // ...and leave the tracer inactive.
+  MetricsRegistry registry;
+  { PhaseScope scope(&registry, "untraced.phase"); }
+  { PhaseScope scope(&registry, "untraced.phase"); }
+  MetricsRegistry::Snapshot snap = registry.Snap();
+  EXPECT_EQ(snap.counters.at("untraced.phase.calls"), 2u);
+  EXPECT_EQ(snap.histograms.at("untraced.phase.ns").count, 2u);
+  EXPECT_TRUE(CollectEdges("untraced.phase").begins.empty());
+  EXPECT_TRUE(CollectEdges("untraced.phase").ends.empty());
+}
+
+TEST_F(PhaseScopeTest, NestedScopesRecordBothPhasesAndNestedSpans) {
   if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
+  Tracer::Global().Start();
   {
-    PhaseTimer timer(&registry, "phase");
+    PhaseScope outer(&registry, "outer.phase", 2, -1, 42);
+    PhaseScope inner(&registry, "inner.phase");
   }
-  {
-    PhaseTimer timer(&registry, "phase");
-    timer.Stop();
-    timer.Stop();  // Idempotent.
-  }
+  { PhaseScope no_registry(nullptr, "trace.only"); }
+  Tracer::Global().Stop();
+
   MetricsRegistry::Snapshot snap = registry.Snap();
-  EXPECT_EQ(snap.counters.at("phase.calls"), 2u);
-  EXPECT_EQ(snap.histograms.at("phase.ns").count, 2u);
-  ASSERT_EQ(snap.spans.size(), 2u);
-  EXPECT_EQ(snap.spans[0].name, "phase");
+  EXPECT_EQ(snap.counters.at("outer.phase.calls"), 1u);
+  EXPECT_EQ(snap.counters.at("inner.phase.calls"), 1u);
+  EXPECT_GE(snap.histograms.at("outer.phase.ns").sum,
+            snap.histograms.at("inner.phase.ns").sum);
+  EXPECT_EQ(snap.counters.count("trace.only.calls"), 0u);
+
+  const SpanEdges outer = CollectEdges("outer.phase");
+  const SpanEdges inner = CollectEdges("inner.phase");
+  ASSERT_EQ(outer.begins.size(), 1u);
+  ASSERT_EQ(outer.ends.size(), 1u);
+  ASSERT_EQ(inner.begins.size(), 1u);
+  ASSERT_EQ(inner.ends.size(), 1u);
+  EXPECT_EQ(outer.begins[0].level, 2);
+  EXPECT_EQ(outer.begins[0].value, 42);
+  // Strict nesting on one clock: outer opens first and closes last.
+  EXPECT_LE(outer.begins[0].ts_ns, inner.begins[0].ts_ns);
+  EXPECT_LE(inner.begins[0].ts_ns, inner.ends[0].ts_ns);
+  EXPECT_LE(inner.ends[0].ts_ns, outer.ends[0].ts_ns);
+  EXPECT_EQ(CollectEdges("trace.only").begins.size(), 1u);
+  EXPECT_EQ(CollectEdges("trace.only").ends.size(), 1u);
+}
+
+TEST_F(PhaseScopeTest, ConcurrentPoolScopesCountExactly) {
+  MetricsRegistry registry;
+  ThreadPool pool(3);
+  constexpr size_t kScopes = 2000;
+  Tracer::Global().Start();
+  Status status = ParallelFor(&pool, kScopes, 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      PhaseScope scope(&registry, "worker.phase", -1, -1,
+                       static_cast<int64_t>(i));
+    }
+    return Status::OK();
+  });
+  Tracer::Global().Stop();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  if constexpr (!kMetricsEnabled) return;
+  MetricsRegistry::Snapshot snap = registry.Snap();
+  EXPECT_EQ(snap.counters.at("worker.phase.calls"), kScopes);
+  EXPECT_EQ(snap.histograms.at("worker.phase.ns").count, kScopes);
+  ASSERT_EQ(Tracer::Global().DroppedEvents(), 0u);
+  EXPECT_EQ(CollectEdges("worker.phase").begins.size(), kScopes);
+  EXPECT_EQ(CollectEdges("worker.phase").ends.size(), kScopes);
 }
 
 // --- Instrumentation determinism across thread counts -----------------
@@ -169,6 +255,70 @@ TEST(MinerMetricsTest, RegistryCountersMatchLevelStats) {
   // a finished run always carries the process high-water mark.
   ASSERT_EQ(snap.gauges.count("mem.peak_rss_bytes"), 1u);
   EXPECT_GT(snap.gauges.at("mem.peak_rss_bytes"), 0);
+}
+
+TEST(MinerMetricsTest, EveryMinerPhaseReachesEverySink) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  auto db = datagen::GenerateQuestData(SmallQuest());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  BitmapCountProvider provider(*db);
+  MinerOptions options = SmallMinerOptions();
+  options.num_threads = 2;
+  MetricsRegistry registry;
+  options.metrics = &registry;
+  ProfilerOptions pmu;
+  pmu.pmu = true;
+  Profiler::Global().Start(pmu);
+  const bool pmu_active = Profiler::Global().pmu_active();
+  Tracer::Global().Start();
+  auto result = MineCorrelations(provider, db->num_items(), options);
+  Tracer::Global().Stop();
+  Profiler::Global().Stop();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GE(result->levels.size(), 2u);  // Level 2 generates level 3.
+  ASSERT_EQ(Tracer::Global().DroppedEvents(), 0u);
+
+  // Balance B/E per thread in the exported Chrome trace: every end closes
+  // the innermost open begin of the same name on its thread.
+  auto doc = io::ParseJson(Tracer::Global().ToChromeJson());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const io::JsonValue* events = doc->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::map<double, std::vector<std::string>> open;
+  std::map<std::string, uint64_t> pairs;
+  for (const io::JsonValue& event : events->array) {
+    const std::string& name = event.Find("name")->string_value;
+    const std::string& ph = event.Find("ph")->string_value;
+    std::vector<std::string>& stack = open[event.Find("tid")->number_value];
+    if (ph == "B") stack.push_back(name);
+    if (ph == "E") {
+      ASSERT_FALSE(stack.empty()) << "unmatched end of " << name;
+      ASSERT_EQ(stack.back(), name);
+      stack.pop_back();
+      ++pairs[name];
+    }
+  }
+  for (const auto& [tid, stack] : open) {
+    EXPECT_TRUE(stack.empty()) << "unclosed spans on tid " << tid;
+  }
+
+  const auto profile = Profiler::Global().PhaseSnapshot();
+  MetricsRegistry::Snapshot snap = registry.Snap();
+  for (const char* phase : {"miner.mine", "miner.level", "miner.plan",
+                            "miner.count_batch", "miner.evaluate",
+                            "miner.generate"}) {
+    SCOPED_TRACE(phase);
+    const std::string name(phase);
+    ASSERT_EQ(snap.histograms.count(name + ".ns"), 1u);
+    const uint64_t scopes = snap.histograms.at(name + ".ns").count;
+    EXPECT_GE(scopes, 1u);
+    EXPECT_EQ(snap.counters.at(name + ".calls"), scopes);
+    EXPECT_EQ(pairs[name], scopes);
+    if (pmu_active) {
+      ASSERT_EQ(profile.count(name), 1u);
+      EXPECT_EQ(profile.at(name).scopes, scopes);
+    }
+  }
 }
 
 // --- §3.3 low-expectation masking accounting ---------------------------

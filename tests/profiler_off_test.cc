@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/metrics.h"
+#include "common/phase_scope.h"
 #include "common/pmu.h"
 #include "io/json_reader.h"
 
@@ -21,16 +22,16 @@ namespace {
 
 #ifdef CORRMINE_METRICS_DISABLED
 // The sizeof-level guarantee: the shells carry no state at all, so a
-// ProfileScope on a hot path compiles to nothing.
-static_assert(sizeof(ProfileScope) == 1,
-              "metrics-off ProfileScope must be an empty shell");
+// PhaseScope on a hot path compiles to nothing.
+static_assert(sizeof(PhaseScope) == 1,
+              "metrics-off PhaseScope must be an empty shell");
 static_assert(sizeof(PmuGroup) == 1,
               "metrics-off PmuGroup must be an empty shell");
 static_assert(!kMetricsEnabled, "flag and macro must agree");
 #else
 static_assert(kMetricsEnabled, "flag and macro must agree");
-static_assert(sizeof(ProfileScope) > 1,
-              "metrics-on ProfileScope must capture entry counts");
+static_assert(sizeof(PhaseScope) > 1,
+              "metrics-on PhaseScope must capture entry counts");
 #endif
 
 TEST(ProfilerOffTest, ShellTypesConstructAndDoNothing) {
@@ -42,7 +43,8 @@ TEST(ProfilerOffTest, ShellTypesConstructAndDoNothing) {
     EXPECT_EQ(counts.cycles, 0u);
   }
   {
-    ProfileScope scope("off.phase");  // Must be constructible either way.
+    MetricsRegistry registry;
+    PhaseScope scope(&registry, "off.phase");  // Constructible either way.
   }
   if (!kMetricsEnabled) {
     EXPECT_EQ(Profiler::Global().PhaseSnapshot().count("off.phase"), 0u);

@@ -1,6 +1,6 @@
 // The profiling subsystem (common/profiler.h + common/pmu.h, DESIGN.md
 // §13): PmuCounts arithmetic, the one-shot availability probe and its
-// degradation contract, phase attribution through ProfileScope/RecordPhase,
+// degradation contract, phase attribution through PhaseScope/RecordPhase,
 // the "profile" JSON section's structure, and the SIGPROF sampling
 // profiler's capture + collapsed-stack export. Every test passes whether
 // or not perf_event_open is available — graceful degradation IS the
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/phase_scope.h"
 #include "common/pmu.h"
 #include "common/trace.h"
 #include "io/json_reader.h"
@@ -138,23 +139,23 @@ TEST_F(ProfilerTest, RecordPhaseAggregatesScopesAndCounts) {
   EXPECT_EQ(test_phase->Find("scopes")->number_value, 2.0);
 }
 
-TEST_F(ProfilerTest, ProfileScopeIsInertWithoutAnActivePmu) {
+TEST_F(ProfilerTest, PhaseScopeIsInertWithoutAnActivePmu) {
   Profiler& profiler = Profiler::Global();
   profiler.Start(ProfilerOptions{});  // No PMU requested.
   {
-    ProfileScope scope("inert.phase");
+    PhaseScope scope(nullptr, "inert.phase");
   }
   profiler.Stop();
   EXPECT_EQ(profiler.PhaseSnapshot().count("inert.phase"), 0u);
 }
 
-TEST_F(ProfilerTest, ProfileScopeAttributesWhenPmuAvailable) {
+TEST_F(ProfilerTest, PhaseScopeAttributesWhenPmuAvailable) {
   Profiler& profiler = Profiler::Global();
   ProfilerOptions options;
   options.pmu = true;
   profiler.Start(options);
   {
-    ProfileScope scope("attributed.phase");
+    PhaseScope scope(nullptr, "attributed.phase");
     uint64_t sink = 0;
     for (int i = 0; i < 1000000; ++i) sink += static_cast<uint64_t>(i);
     KeepAlive(sink);
@@ -169,6 +170,27 @@ TEST_F(ProfilerTest, ProfileScopeAttributesWhenPmuAvailable) {
   ASSERT_EQ(phases.count("attributed.phase"), 1u);
   EXPECT_EQ(phases["attributed.phase"].scopes, 1u);
   EXPECT_GT(phases["attributed.phase"].counts.cycles, 0u);
+}
+
+TEST_F(ProfilerTest, SameNamePhaseInsideItselfIsChargedOnce) {
+  // A pool thread helping while it waits can run a sibling task of the
+  // phase it is inside; the inner scope must not charge the delta again.
+  Profiler& profiler = Profiler::Global();
+  ProfilerOptions options;
+  options.pmu = true;
+  profiler.Start(options);
+  {
+    PhaseScope outer(nullptr, "reentrant.phase");
+    PhaseScope inner(nullptr, "reentrant.phase");
+  }
+  profiler.Stop();
+  auto phases = profiler.PhaseSnapshot();
+  if (!kMetricsEnabled || !ProbePmu().available) {
+    EXPECT_TRUE(phases.empty());
+    return;
+  }
+  ASSERT_EQ(phases.count("reentrant.phase"), 1u);
+  EXPECT_EQ(phases["reentrant.phase"].scopes, 1u);
 }
 
 TEST_F(ProfilerTest, ProfileJsonIsStructurallyCompleteInEveryMode) {
@@ -269,7 +291,7 @@ TEST_F(ProfilerTest, SamplesFoldIntoAnActiveTraceAsInstantEvents) {
   tracer.Start();
   // Register this thread's ring BEFORE sampling starts: the handler only
   // uses the async-signal-safe cached lookup and never registers.
-  { TraceScope warmup("profiler.test.warmup"); }
+  TraceInstant("profiler.test.warmup");
   Profiler& profiler = Profiler::Global();
   ProfilerOptions options;
   options.sampling = true;

@@ -107,6 +107,24 @@ TEST(MiningSessionTest, OpensTextAndBinaryFiles) {
   EXPECT_FALSE(MiningSession::Open("/nonexistent/baskets.txt", {}).ok());
 }
 
+TEST(MiningSessionTest, OpenTimesLoadAndIndexBuildOnce) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  TransactionDatabase db = SeededQuest(11);
+  std::string path = ::testing::TempDir() + "/session_phases.bin";
+  ASSERT_TRUE(io::WriteBinaryTransactionFile(db, path).ok());
+  MetricsRegistry& global = MetricsRegistry::Global();
+  Histogram* load = global.GetHistogram("io.load.ns");
+  Histogram* index_build = global.GetHistogram("itemset.index_build.ns");
+  const uint64_t load_before = load->Value().count;
+  const uint64_t index_before = index_build->Value().count;
+
+  auto session = MiningSession::Open(path, {});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ(load->Value().count - load_before, 1u);
+  EXPECT_EQ(index_build->Value().count - index_before, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(MiningSessionTest, FrequentMinersAgreeWithMonolithicBaseline) {
   TransactionDatabase db = SeededQuest(1997);
   BitmapCountProvider provider(db);
