@@ -4,12 +4,14 @@
 # stage (the pure-observer sentinel across off/sampling/PMU/both plus
 # collapsed-stack validation), the full test suite with the metrics layer
 # compiled out (CORRMINE_METRICS=OFF must stay a working configuration),
-# and a ThreadSanitizer run over the concurrency-sensitive suites (the
-# parallel mining engine, its pool, and the count providers). Run
-# from the repository root:
+# an AddressSanitizer+UBSan run over the decoders and the suites that feed
+# them untrusted bytes, and a ThreadSanitizer run over the
+# concurrency-sensitive suites (the parallel mining engine, its pool, and
+# the count providers). Run from the repository root:
 #
 #   scripts/verify.sh                  # everything
 #   SKIP_TSAN=1 scripts/verify.sh      # skip the TSan stage
+#   SKIP_ASAN=1 scripts/verify.sh      # skip the ASan+UBSan stage
 #   SKIP_METRICS_OFF=1 scripts/verify.sh  # skip the metrics-off stage
 #   SKIP_STATSDIFF=1 scripts/verify.sh    # skip the statsdiff/trace stages
 #   SKIP_PROFILE=1 scripts/verify.sh      # skip the profiling stage (the
@@ -314,6 +316,20 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   (cd build-tsan &&
    ctest --output-on-failure \
      -R '^(thread_pool_test|miner_test|batch_tables_test|session_test|metrics_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
+fi
+
+if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
+  echo "== ASan+UBSan: decoders and file-fed suites =="
+  # CORRMINE_SANITIZE=address also turns on UBSan with recovery off, so
+  # any heap misuse or undefined behavior (an out-of-range shift in a
+  # varint decoder, say) fails the test binary outright.
+  ASAN_TESTS=(binary_io_test io_test format_detect_test fuzz_model_test
+              border_state_test outofcore_test session_test)
+  cmake -B build-asan -S . -DCORRMINE_SANITIZE=address >/dev/null
+  cmake --build build-asan -j --target "${ASAN_TESTS[@]}" >/dev/null
+  (cd build-asan &&
+   ctest --output-on-failure \
+     -R "^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$")
 fi
 
 echo "verify: OK"

@@ -1,13 +1,12 @@
 #include "core/session.h"
 
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/metrics.h"
 #include "common/phase_scope.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "io/binary_io.h"
 #include "io/transaction_io.h"
 
 namespace corrmine {
@@ -49,13 +48,12 @@ MiningSession::MiningSession(TransactionDatabase db,
 StatusOr<MiningSession> MiningSession::Open(const std::string& path,
                                             const SessionOptions& options) {
   if (options.named_items) {
-    std::ifstream file(path);
-    if (!file) return Status::IOError("cannot open " + path);
-    std::ostringstream content;
-    content << file.rdbuf();
-    if (file.bad()) return Status::IOError("error reading " + path);
-    CORRMINE_ASSIGN_OR_RETURN(TransactionDatabase db,
-                              io::ParseNamedTransactions(content.str()));
+    TransactionDatabase db(1);
+    {
+      PhaseScope phase(&MetricsRegistry::Global(), "io.load");
+      CORRMINE_ASSIGN_OR_RETURN(std::string text, io::ReadFileToString(path));
+      CORRMINE_ASSIGN_OR_RETURN(db, io::ParseNamedTransactions(text));
+    }
     return FromDatabase(std::move(db), options);
   }
   CORRMINE_ASSIGN_OR_RETURN(

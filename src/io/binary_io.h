@@ -2,10 +2,13 @@
 #define CORRMINE_IO_BINARY_IO_H_
 
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status_or.h"
+#include "common/varint.h"
 #include "itemset/transaction_database.h"
 
 namespace corrmine::io {
@@ -27,50 +30,42 @@ namespace corrmine::io {
 Status WriteBinaryTransactionFile(const TransactionDatabase& db,
                                   const std::string& path);
 
-StatusOr<TransactionDatabase> ReadBinaryTransactionFile(
-    const std::string& path);
-
-/// In-memory codec (exposed for tests and tooling).
+/// In-memory encoder (exposed for tests and tooling).
 std::string EncodeBinaryTransactions(const TransactionDatabase& db);
-StatusOr<TransactionDatabase> DecodeBinaryTransactions(
-    const std::string& bytes);
 
-/// Streaming decode: validates the header, stores the item-space size into
-/// `*num_items`, then invokes `sink` once per basket in file order — the
-/// primitive behind DecodeBinaryTransactions.
-/// `*num_items` is set before the first sink call. The first non-OK status
-/// from `sink` aborts the decode.
-Status DecodeBinaryTransactionsInto(
-    const std::string& bytes, ItemId* num_items,
-    const std::function<Status(std::vector<ItemId>)>& sink);
-
-/// Decodes one CMB1 segment starting at `*pos` (magic included), invoking
-/// `sink` per basket, and leaves `*pos` on the first byte after the segment
-/// — the primitive the chunked append format (io/chunked_io.h) iterates.
-/// Unlike DecodeBinaryTransactionsInto it does NOT reject trailing bytes;
-/// the caller decides whether more segments follow. `sink` may be null to
-/// skip over a segment (header validation and bounds checks still run).
-Status DecodeBinaryTransactionSegment(
-    const std::string& bytes, size_t* pos, ItemId* num_items,
-    uint64_t* num_baskets,
-    const std::function<Status(std::vector<ItemId>)>& sink);
+/// The one CMB1 decoder. Reads `in` from its current position to EOF as one
+/// or more back-to-back CMB1 segments (a chunked file, io/chunked_io.h),
+/// through a 64 KiB read window. `on_segment` (nullable) fires at each
+/// segment header, before its baskets, with the segment's byte offset from
+/// the start position, its item space and its basket count. `sink`
+/// (nullable: validate only) gets every basket in file order; its first
+/// non-OK status aborts the decode. On success `*num_items` is the maximum
+/// of the segment item spaces.
+///
+/// Every header and record is bounds-checked: a bad magic, an item space of
+/// 0 or above 2^32-1, a basket larger than its item space, a repeated item,
+/// an id at or past the item space (checked without wrapping), a truncated
+/// or overlong varint, or an input with no segment is Corruption.
+///
+/// `bytes_consumed` (optional) is kept current before every sink call:
+/// input bytes decoded so far, within one window refill.
+Status DecodeBinaryTransactionStream(
+    std::istream& in, ItemId* num_items,
+    const std::function<Status(uint64_t offset, ItemId num_items,
+                               uint64_t num_baskets)>& on_segment,
+    const std::function<Status(std::vector<ItemId>)>& sink,
+    uint64_t* bytes_consumed = nullptr);
 
 /// Whole-file byte helpers shared by the binary codecs.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 Status WriteStringToFile(const std::string& bytes, const std::string& path);
 
-/// LEB128 varint primitives, shared with the other binary codecs (chunked
-/// transaction files, border-state snapshots).
-void AppendVarint(std::string* out, uint64_t value);
-/// Reads one varint at `*pos`, advancing it. Errors on truncation and on
-/// encodings past 64 bits: a 10th byte must be 0 or 1, with no
-/// continuation bit.
+/// LEB128 varints (common/varint.h) for the byte-string codecs: CBS1
+/// border snapshots and the CCS shard directory. ReadVarint reads one at
+/// `*pos`, advancing it, under the same DecodeVarint rule as the CMB1
+/// stream.
+using corrmine::AppendVarint;
 StatusOr<uint64_t> ReadVarint(std::string_view bytes, size_t* pos);
-
-/// True when `path` starts with the binary magic. Thin wrapper over
-/// DetectTransactionFileFormat (io/format_detect.h), kept for callers that
-/// only care about this one format.
-bool LooksLikeBinaryTransactionFile(const std::string& path);
 
 }  // namespace corrmine::io
 

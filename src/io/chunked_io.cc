@@ -1,8 +1,7 @@
 #include "io/chunked_io.h"
 
-#include <algorithm>
 #include <fstream>
-#include <utility>
+#include <sstream>
 
 #include "io/binary_io.h"
 #include "io/format_detect.h"
@@ -12,54 +11,22 @@ namespace corrmine::io {
 StatusOr<std::vector<TransactionChunkInfo>> ListTransactionChunks(
     const std::string& bytes) {
   std::vector<TransactionChunkInfo> chunks;
-  size_t pos = 0;
-  while (pos < bytes.size()) {
-    TransactionChunkInfo info;
-    info.offset = pos;
-    CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionSegment(
-        bytes, &pos, &info.num_items, &info.num_baskets, nullptr));
-    info.size = pos - info.offset;
-    chunks.push_back(info);
-  }
-  if (chunks.empty()) {
-    return Status::Corruption("missing CMB1 magic");
+  std::istringstream in(bytes);
+  ItemId num_items = 0;
+  CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionStream(
+      in, &num_items,
+      [&](uint64_t offset, ItemId items, uint64_t baskets) -> Status {
+        chunks.push_back({static_cast<size_t>(offset), 0, items, baskets});
+        return Status::OK();
+      },
+      nullptr));
+  // The decoder runs to EOF, so each segment ends where the next begins.
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const size_t end =
+        i + 1 < chunks.size() ? chunks[i + 1].offset : bytes.size();
+    chunks[i].size = end - chunks[i].offset;
   }
   return chunks;
-}
-
-Status DecodeChunkedTransactionsInto(
-    const std::string& bytes, ItemId* num_items,
-    const std::function<Status(size_t chunk_index, ItemId chunk_items,
-                               uint64_t chunk_baskets)>& chunk_begin,
-    const std::function<Status(std::vector<ItemId>)>& sink) {
-  ItemId max_items = 0;
-  size_t pos = 0;
-  size_t chunk_index = 0;
-  bool any = false;
-  while (pos < bytes.size()) {
-    // Two passes per segment: a validating skip to learn the header before
-    // any basket reaches the sink, then the decode proper. Segment parsing
-    // is varint walking, far cheaper than the basket materialization.
-    size_t peek = pos;
-    ItemId chunk_items = 0;
-    uint64_t chunk_baskets = 0;
-    CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionSegment(
-        bytes, &peek, &chunk_items, &chunk_baskets, nullptr));
-    if (chunk_begin != nullptr) {
-      CORRMINE_RETURN_NOT_OK(
-          chunk_begin(chunk_index, chunk_items, chunk_baskets));
-    }
-    CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionSegment(
-        bytes, &pos, &chunk_items, &chunk_baskets, sink));
-    max_items = std::max(max_items, chunk_items);
-    ++chunk_index;
-    any = true;
-  }
-  if (!any) {
-    return Status::Corruption("missing CMB1 magic");
-  }
-  *num_items = max_items;
-  return Status::OK();
 }
 
 Status AppendBinaryTransactionChunk(const TransactionDatabase& chunk,

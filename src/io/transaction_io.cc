@@ -8,48 +8,70 @@
 #include "common/phase_scope.h"
 #include "common/string_util.h"
 #include "io/binary_io.h"
-#include "io/chunked_io.h"
 #include "io/format_detect.h"
 
 namespace corrmine::io {
 
 namespace {
 
-struct ParsedLines {
-  std::vector<std::vector<ItemId>> baskets;
-  ItemId max_item = 0;
-  bool any_item = false;
-};
+using BasketSink = std::function<Status(std::vector<ItemId>)>;
 
-StatusOr<ParsedLines> ParseIdLines(const std::string& text) {
-  ParsedLines parsed;
-  std::istringstream stream(text);
+/// The one text line loop: parses `in` line by line into `sink`, and sets
+/// `*num_items` to max id + 1 (0 when no line holds an id).
+Status StreamText(std::istream& in, ItemId* num_items, const BasketSink& sink,
+                  uint64_t* bytes_consumed) {
   std::string line;
   size_t line_no = 0;
-  while (std::getline(stream, line)) {
+  ItemId max_item_plus_1 = 0;
+  uint64_t consumed = 0;
+  while (std::getline(in, line)) {
     ++line_no;
-    CORRMINE_ASSIGN_OR_RETURN(std::optional<std::vector<ItemId>> basket,
+    consumed += line.size() + 1;
+    CORRMINE_ASSIGN_OR_RETURN(auto basket,
                               ParseTransactionLine(line, line_no));
-    if (!basket.has_value()) continue;
-    for (ItemId id : *basket) {
-      parsed.max_item = std::max(parsed.max_item, id);
-      parsed.any_item = true;
+    if (!basket.has_value()) continue;  // comment line
+    for (const ItemId item : *basket) {
+      max_item_plus_1 = std::max(max_item_plus_1, item + 1);
     }
-    parsed.baskets.push_back(std::move(*basket));
+    if (bytes_consumed != nullptr) *bytes_consumed = consumed;
+    CORRMINE_RETURN_NOT_OK(sink(std::move(*basket)));
   }
-  return parsed;
+  *num_items = max_item_plus_1;
+  return Status::OK();
 }
 
-StatusOr<TransactionDatabase> BuildDatabase(ParsedLines parsed,
-                                            ItemId num_items_hint) {
-  ItemId num_items = num_items_hint;
-  if (parsed.any_item && parsed.max_item + 1 > num_items) {
-    num_items = parsed.max_item + 1;
+/// Sniffs `path` and streams it through the decoder for its format.
+Status StreamFile(const std::string& path, TransactionFileFormat* format,
+                  ItemId* num_items, const BasketSink& sink,
+                  uint64_t* bytes_consumed) {
+  CORRMINE_ASSIGN_OR_RETURN(*format, DetectTransactionFileFormat(path));
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IOError("cannot open " + path);
   }
-  if (num_items == 0) num_items = 1;
-  TransactionDatabase db(num_items);
-  for (auto& basket : parsed.baskets) {
-    CORRMINE_RETURN_NOT_OK(db.AddBasket(std::move(basket)));
+  return *format == TransactionFileFormat::kBinary
+             ? DecodeBinaryTransactionStream(in, num_items, nullptr, sink,
+                                             bytes_consumed)
+             : StreamText(in, num_items, sink, bytes_consumed);
+}
+
+using Rows = std::vector<std::vector<ItemId>>;
+
+/// A sink that stages each basket in `rows`.
+BasketSink StageInto(Rows* rows) {
+  return [rows](std::vector<ItemId> basket) {
+    rows->push_back(std::move(basket));
+    return Status::OK();
+  };
+}
+
+/// Sizes the row store once, after a stream ended cleanly, and moves the
+/// staged rows in. Sizing after the stream, never from a basket mid-stream,
+/// keeps a corrupt tail from first allocating counts for a huge early id.
+StatusOr<TransactionDatabase> BuildDatabase(Rows rows, ItemId num_items) {
+  TransactionDatabase db(std::max<ItemId>(num_items, 1));
+  for (std::vector<ItemId>& row : rows) {
+    CORRMINE_RETURN_NOT_OK(db.AddBasket(std::move(row)));
   }
   return db;
 }
@@ -69,7 +91,8 @@ StatusOr<std::optional<std::vector<ItemId>>> ParseTransactionLine(
       return Status::Corruption("line " + std::to_string(line_no) + ": " +
                                 value.status().message());
     }
-    if (*value > UINT32_MAX) {
+    // The item space holds id + 1, so the largest ItemId is not an id.
+    if (*value >= UINT32_MAX) {
       return Status::OutOfRange("line " + std::to_string(line_no) +
                                 ": item id too large");
     }
@@ -78,54 +101,46 @@ StatusOr<std::optional<std::vector<ItemId>>> ParseTransactionLine(
   return std::optional<std::vector<ItemId>>(std::move(basket));
 }
 
-StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
-                                                ItemId num_items_hint) {
-  CORRMINE_ASSIGN_OR_RETURN(ParsedLines parsed, ParseIdLines(text));
-  return BuildDatabase(std::move(parsed), num_items_hint);
+Status StreamTransactionFile(const std::string& path, ItemId* num_items,
+                             const BasketSink& sink,
+                             uint64_t* bytes_consumed) {
+  TransactionFileFormat format = TransactionFileFormat::kText;
+  return StreamFile(path, &format, num_items, sink, bytes_consumed);
 }
 
 StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
                                                   ItemId num_items_hint) {
   PhaseScope phase(&MetricsRegistry::Global(), "io.load");
-  CORRMINE_ASSIGN_OR_RETURN(TransactionFileFormat format,
-                            DetectTransactionFileFormat(path));
+  Rows rows;
+  ItemId num_items = 0;
+  TransactionFileFormat format = TransactionFileFormat::kText;
+  CORRMINE_RETURN_NOT_OK(
+      StreamFile(path, &format, &num_items, StageInto(&rows), nullptr));
+  // Binary segment headers are authoritative; the hint floors text only.
   if (format == TransactionFileFormat::kText) {
-    return ReadTransactionFile(path, num_items_hint);
+    num_items = std::max(num_items, num_items_hint);
   }
-  CORRMINE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  // The segment headers carry the item spaces, so one cheap header walk
-  // fixes the global space (the max over segments, floored to 1 so an empty
-  // file still yields a valid database) and records then stream straight
-  // into the row store. Multi-segment files (delta chunks appended by
-  // `ingest`) load as the concatenation of their segments.
-  CORRMINE_ASSIGN_OR_RETURN(std::vector<TransactionChunkInfo> chunks,
-                            ListTransactionChunks(bytes));
-  ItemId num_items = 1;
-  for (const TransactionChunkInfo& chunk : chunks) {
-    num_items = std::max(num_items, chunk.num_items);
-  }
-  TransactionDatabase db(num_items);
-  ItemId decoded_items = 0;
-  CORRMINE_RETURN_NOT_OK(DecodeChunkedTransactionsInto(
-      bytes, &decoded_items, nullptr,
-      [&](std::vector<ItemId> basket) -> Status {
-        return db.AddBasket(std::move(basket));
-      }));
-  return db;
+  return BuildDatabase(std::move(rows), num_items);
 }
 
-StatusOr<TransactionDatabase> ReadTransactionFile(const std::string& path,
-                                                  ItemId num_items_hint) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IOError("cannot open " + path);
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  if (file.bad()) {
-    return Status::IOError("error reading " + path);
-  }
-  return ParseTransactions(content.str(), num_items_hint);
+StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
+                                                ItemId num_items_hint) {
+  Rows rows;
+  ItemId num_items = 0;
+  std::istringstream in(text);
+  CORRMINE_RETURN_NOT_OK(
+      StreamText(in, &num_items, StageInto(&rows), nullptr));
+  return BuildDatabase(std::move(rows), std::max(num_items, num_items_hint));
+}
+
+StatusOr<TransactionDatabase> DecodeBinaryTransactions(
+    const std::string& bytes) {
+  Rows rows;
+  ItemId num_items = 0;
+  std::istringstream in(bytes);
+  CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionStream(
+      in, &num_items, nullptr, StageInto(&rows)));
+  return BuildDatabase(std::move(rows), num_items);
 }
 
 Status WriteTransactionFile(const TransactionDatabase& db,

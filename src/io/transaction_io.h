@@ -1,6 +1,7 @@
 #ifndef CORRMINE_IO_TRANSACTION_IO_H_
 #define CORRMINE_IO_TRANSACTION_IO_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -11,32 +12,58 @@
 
 namespace corrmine::io {
 
+/// The one module that reads transaction files. Every reader below sniffs
+/// or is told the format (io/format_detect.h) and streams it in one pass:
+/// CMB1 binary (possibly chunked) through DecodeBinaryTransactionStream
+/// (io/binary_io.h), text through one line loop. Nothing reads a whole file
+/// into memory first.
+
 /// Parses one line of the text transaction format: whitespace-separated
-/// non-negative integer item ids. Returns nullopt for comment lines
-/// (leading '#'); otherwise the basket, which is empty for blank lines.
-/// `line_no` is used in error messages only. Shared by the whole-file
-/// readers below and the streaming reader (io/stream_reader.h).
+/// non-negative integer item ids below 2^32-1. Returns nullopt for comment
+/// lines (leading '#'); otherwise the basket, which is empty for blank
+/// lines. `line_no` is used in error messages only.
 StatusOr<std::optional<std::vector<ItemId>>> ParseTransactionLine(
     std::string_view line, size_t line_no);
 
-/// Unified load path: auto-detects the on-disk format (CMB1 binary, possibly
-/// chunked, vs. text — io/format_detect.h) and reads `path` into one
-/// database. `num_items_hint` floors the item space for the text format;
-/// the binary segment headers are authoritative for their own item space.
-/// Timed as phase "io.load" against MetricsRegistry::Global().
+/// Streams a transaction file basket-by-basket without materializing the
+/// database — the primitive behind LoadTransactionFile and the entry point
+/// the out-of-core spill pass reads through, so resident memory stays
+/// O(one basket + read window) no matter the file size.
+///
+/// `num_items` receives the item-space size on success: the maximum of the
+/// per-segment header values for binary files (authoritative — it may
+/// exceed the largest id actually present), or max id + 1 for text. `sink`
+/// is invoked once per basket in file order; a non-OK sink status aborts
+/// the stream.
+///
+/// `bytes_consumed` (optional) is kept current before every sink call:
+/// input bytes decoded so far, within one read-window refill for binary
+/// files and exact for text. Paired with the file size it gives the
+/// pipelined out-of-core spill pass a deterministic progress fraction — a
+/// pure function of the input prefix, never of wall-clock or threads.
+Status StreamTransactionFile(
+    const std::string& path, ItemId* num_items,
+    const std::function<Status(std::vector<ItemId>)>& sink,
+    uint64_t* bytes_consumed = nullptr);
+
+/// Loads `path` into one database: StreamTransactionFile into staged rows,
+/// which move into the row store once the whole file decoded, so a corrupt
+/// tail fails before any item space is allocated. Multi-segment binary
+/// files load as the concatenation of their segments. The item space is
+/// the maximum segment header for binary files; for text it is
+/// max(`num_items_hint`, max id + 1, 1). Text lines hold whitespace-separated
+/// ids, blank lines are empty baskets and lines starting with '#' are
+/// comments. Timed as phase "io.load" against MetricsRegistry::Global().
 StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
                                                   ItemId num_items_hint = 0);
 
-/// Reads basket data in the conventional transaction-file format: one basket
-/// per line, whitespace-separated non-negative integer item ids. Blank lines
-/// are empty baskets; lines starting with '#' are comments. The item space
-/// is sized to the largest id seen (or `num_items_hint` if larger).
-StatusOr<TransactionDatabase> ReadTransactionFile(const std::string& path,
-                                                  ItemId num_items_hint = 0);
-
-/// Same format, parsed from an in-memory string (used by tests).
+/// In-memory readers over the same decoders (used by tests and tooling):
+/// text with the item space sized as for LoadTransactionFile, and CMB1
+/// bytes (one or more segments) over the maximum segment header.
 StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
                                                 ItemId num_items_hint = 0);
+StatusOr<TransactionDatabase> DecodeBinaryTransactions(
+    const std::string& bytes);
 
 /// Writes a database in the transaction-file format.
 Status WriteTransactionFile(const TransactionDatabase& db,

@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "common/varint.h"
 
 namespace corrmine {
 
@@ -600,28 +601,23 @@ CountingColumn::ContainerView CountingColumn::container_view(size_t i) const {
 
 namespace {
 
-void AppendVarintU16(std::string* out, uint32_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>((value & 0x7f) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(value));
-}
-
 Status ReadVarintU16(const uint8_t* data, size_t len, size_t* pos,
                      uint32_t* value) {
-  uint32_t v = 0;
-  int shift = 0;
-  while (*pos < len && shift <= 28) {
-    const uint8_t byte = data[(*pos)++];
-    v |= static_cast<uint32_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = v;
-      return Status::OK();
-    }
-    shift += 7;
+  uint64_t decoded = 0;
+  const char* error = DecodeVarint(
+      [&](uint8_t* byte) {
+        if (*pos >= len) return false;
+        *byte = data[(*pos)++];
+        return true;
+      },
+      &decoded);
+  if (error != nullptr || decoded > 0xffff) {
+    return Status::Corruption(
+        std::string("CCS2: ") +
+        (error != nullptr ? error : "varint out of u16 range"));
   }
-  return Status::Corruption("CCS2: truncated varint payload");
+  *value = static_cast<uint32_t>(decoded);
+  return Status::OK();
 }
 
 }  // namespace
@@ -635,8 +631,8 @@ void EncodeU16DeltaVarint(CountingColumn::ContainerKind kind,
     uint32_t prev_start = 0;
     for (size_t i = 0; i + 1 < payload.size(); i += 2) {
       const uint32_t start = payload[i];
-      AppendVarintU16(out, i == 0 ? start : start - prev_start);
-      AppendVarintU16(out, payload[i + 1]);
+      AppendVarint(out, i == 0 ? start : start - prev_start);
+      AppendVarint(out, payload[i + 1]);
       prev_start = start;
     }
     return;
@@ -645,7 +641,7 @@ void EncodeU16DeltaVarint(CountingColumn::ContainerKind kind,
   uint32_t prev = 0;
   for (size_t i = 0; i < payload.size(); ++i) {
     const uint32_t v = payload[i];
-    AppendVarintU16(out, i == 0 ? v : v - prev);
+    AppendVarint(out, i == 0 ? v : v - prev);
     prev = v;
   }
 }

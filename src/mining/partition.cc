@@ -20,7 +20,7 @@
 #include "common/trace.h"
 #include "core/border_repair.h"
 #include "io/column_store.h"
-#include "io/stream_reader.h"
+#include "io/transaction_io.h"
 #include "itemset/count_provider.h"
 #include "itemset/counting_column.h"
 

@@ -293,6 +293,12 @@ TEST(CountingColumnTest, U16DeltaVarintRejectsCorruption) {
                                     zero_delta, sizeof(zero_delta), 3,
                                     &decoded)
                    .ok());
+  // A delta past the u16 range: 3 + (2^32 - 2) wraps to 1 in 32 bits.
+  const uint8_t wrapping_delta[] = {3, 0xfe, 0xff, 0xff, 0xff, 0x0f};
+  EXPECT_FALSE(DecodeU16DeltaVarint(CountingColumn::ContainerKind::kArray,
+                                    wrapping_delta, sizeof(wrapping_delta), 2,
+                                    &decoded)
+                   .ok());
   // Run lengths that do not sum to the directory count.
   const std::vector<uint16_t> runs = {0, 4, 10, 4};
   std::string run_encoded;

@@ -65,15 +65,13 @@ TEST(FormatDetectTest, ClassifiesFiles) {
 
 TEST(FormatDetectTest, SniffAgreesWithBinaryWriter) {
   // The writer and the sniffer must share one magic: a written binary file
-  // is always detected as binary, and LooksLikeBinaryTransactionFile (the
-  // legacy entry point) must agree with the shared helper.
+  // is always detected as binary.
   auto db = corrmine::testing::RandomIndependentDatabase(5, 20, 3);
   std::string path = ::testing::TempDir() + "/format_detect_agree.bin";
   ASSERT_TRUE(WriteBinaryTransactionFile(db, path).ok());
   auto detected = DetectTransactionFileFormat(path);
   ASSERT_TRUE(detected.ok());
   EXPECT_EQ(*detected, TransactionFileFormat::kBinary);
-  EXPECT_TRUE(LooksLikeBinaryTransactionFile(path));
   std::remove(path.c_str());
 }
 

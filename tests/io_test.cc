@@ -26,16 +26,32 @@ TEST(TransactionIoTest, HintExpandsItemSpace) {
   EXPECT_EQ(db->num_items(), 10u);
 }
 
+TEST(TransactionIoTest, UnsortedBasketSizesItemSpaceByItsMax) {
+  // The item space widens to each basket's largest id, not its last one.
+  auto db = ParseTransactions("7 2\n1\n");
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(db->num_items(), 8u);
+  EXPECT_EQ(db->basket(0), (std::vector<ItemId>{2, 7}));
+  auto empty = ParseTransactions("# only a comment\n");
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->num_items(), 1u);
+}
+
 TEST(TransactionIoTest, RejectsGarbage) {
   EXPECT_TRUE(ParseTransactions("1 two 3\n").status().IsCorruption());
   EXPECT_TRUE(ParseTransactions("99999999999\n").status().IsOutOfRange());
+  // The item space must hold id + 1, so 2^32-1 is not an id.
+  EXPECT_TRUE(ParseTransactions("4294967295\n").status().IsOutOfRange());
+  // A bad later line fails before the item space is sized for an early
+  // huge id (32 GiB of counts here).
+  EXPECT_TRUE(ParseTransactions("4000000000\n1 x\n").status().IsCorruption());
 }
 
 TEST(TransactionIoTest, FileRoundTrip) {
   auto db = corrmine::testing::RandomIndependentDatabase(6, 50, 9);
   std::string path = ::testing::TempDir() + "/corrmine_io_test.txt";
   ASSERT_TRUE(WriteTransactionFile(db, path).ok());
-  auto loaded = ReadTransactionFile(path, db.num_items());
+  auto loaded = LoadTransactionFile(path, db.num_items());
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->num_baskets(), db.num_baskets());
   for (size_t i = 0; i < db.num_baskets(); ++i) {
@@ -46,7 +62,7 @@ TEST(TransactionIoTest, FileRoundTrip) {
 
 TEST(TransactionIoTest, MissingFileIsIOError) {
   EXPECT_TRUE(
-      ReadTransactionFile("/nonexistent/path/x.txt").status().IsIOError());
+      LoadTransactionFile("/nonexistent/path/x.txt").status().IsIOError());
 }
 
 TEST(TransactionIoTest, NamedTransactions) {

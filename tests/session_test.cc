@@ -7,6 +7,7 @@
 #include "core/session.h"
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,20 @@ TEST(MiningSessionTest, OpenTimesLoadAndIndexBuildOnce) {
   EXPECT_EQ(load->Value().count - load_before, 1u);
   EXPECT_EQ(index_build->Value().count - index_before, 1u);
   std::remove(path.c_str());
+
+  // The --names path reads its own token format, still as one io.load.
+  const std::string named_path = ::testing::TempDir() + "/session_names.txt";
+  {
+    std::ofstream out(named_path);
+    out << "tea coffee\ncoffee doughnut\n";
+  }
+  SessionOptions named;
+  named.named_items = true;
+  auto named_session = MiningSession::Open(named_path, named);
+  ASSERT_TRUE(named_session.ok()) << named_session.status().ToString();
+  EXPECT_EQ(named_session->num_items(), 3u);
+  EXPECT_EQ(load->Value().count - load_before, 2u);
+  std::remove(named_path.c_str());
 }
 
 TEST(MiningSessionTest, FrequentMinersAgreeWithMonolithicBaseline) {

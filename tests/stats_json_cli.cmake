@@ -80,3 +80,25 @@ foreach(threads 1 8)
             "  traced:   ${line}")
   endif()
 endforeach()
+
+# Both ends of the process are phases: one file load (io.load) and one rule
+# write (io.output) per `mine --out`. Under CORRMINE_METRICS=OFF no phase is
+# recorded, so only the run itself is checked there.
+execute_process(
+  COMMAND ${CLI} mine ${WORKDIR}/stats_fixture.txt
+          --support-count 100 --cell-fraction 0.26 --max-level 3
+          --out ${WORKDIR}/stats_rules.txt
+          --stats-json ${WORKDIR}/stats_out.json
+  RESULT_VARIABLE rc OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "mine --out failed: ${rc}")
+endif()
+if(METRICS)
+  file(READ ${WORKDIR}/stats_out.json doc)
+  foreach(phase io.load io.output)
+    string(FIND "${doc}" "\"${phase}.ns\":{\"count\":1," pos)
+    if(pos EQUAL -1)
+      message(FATAL_ERROR "stats json lacks ${phase}.ns with count 1:\n${doc}")
+    endif()
+  endforeach()
+endif()

@@ -26,6 +26,7 @@
 
 #include "common/flags.h"
 #include "common/metrics.h"
+#include "common/phase_scope.h"
 #include "common/profiler.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -240,10 +241,11 @@ StatusOr<MinerOptions> MinerOptionsFromFlags(const FlagParser& flags) {
 }
 
 /// Renders a mining result — the report or the rule table plus per-level
-/// lines — and honors --out. `dict` may be null (out-of-core runs have no
-/// session to borrow a dictionary from).
+/// lines — and honors --out, timed as phase "io.output". `dict` may be null
+/// (out-of-core runs have no session to borrow a dictionary from).
 Status PrintMineResult(const FlagParser& flags, const MiningResult& result,
                        const ItemDictionary* dict) {
+  PhaseScope phase(&MetricsRegistry::Global(), "io.output");
   if (flags.GetBool("report", false)) {
     ReportOptions report_options;
     CORRMINE_ASSIGN_OR_RETURN(report_options.fdr_level,
