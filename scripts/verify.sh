@@ -4,10 +4,11 @@
 # stage (the pure-observer sentinel across off/sampling/PMU/both plus
 # collapsed-stack validation), the full test suite with the metrics layer
 # compiled out (CORRMINE_METRICS=OFF must stay a working configuration),
-# an AddressSanitizer+UBSan run over the decoders and the suites that feed
-# them untrusted bytes, and a ThreadSanitizer run over the
-# concurrency-sensitive suites (the parallel mining engine, its pool, and
-# the count providers). Run from the repository root:
+# an AddressSanitizer+UBSan run over the decoders, the suites that feed
+# them untrusted bytes and the miner's subset-lookup suites, and a
+# ThreadSanitizer run over the concurrency-sensitive suites (the parallel
+# mining engine, its pool, and the count providers). Run from the
+# repository root:
 #
 #   scripts/verify.sh                  # everything
 #   SKIP_TSAN=1 scripts/verify.sh      # skip the TSan stage
@@ -322,9 +323,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   echo "== ASan+UBSan: decoders and file-fed suites =="
   # CORRMINE_SANITIZE=address also turns on UBSan with recovery off, so
   # any heap misuse or undefined behavior (an out-of-range shift in a
-  # varint decoder, say) fails the test binary outright.
+  # varint decoder, say) fails the test binary outright. miner_test and
+  # scheduler_determinism_test cover the miner's subset lookups, which
+  # index stack arrays by contingency-mask bits.
   ASAN_TESTS=(binary_io_test io_test format_detect_test fuzz_model_test
-              border_state_test outofcore_test session_test)
+              border_state_test outofcore_test session_test miner_test
+              scheduler_determinism_test)
   cmake -B build-asan -S . -DCORRMINE_SANITIZE=address >/dev/null
   cmake --build build-asan -j --target "${ASAN_TESTS[@]}" >/dev/null
   (cd build-asan &&

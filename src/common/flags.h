@@ -1,6 +1,8 @@
 #ifndef CORRMINE_COMMON_FLAGS_H_
 #define CORRMINE_COMMON_FLAGS_H_
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -29,6 +31,22 @@ class FlagParser {
   StatusOr<uint64_t> GetUint64(const std::string& name,
                                uint64_t fallback) const;
   StatusOr<double> GetDouble(const std::string& name, double fallback) const;
+
+  /// GetUint64 narrowed to the integer type the caller stores it in: a
+  /// value above that type's maximum is InvalidArgument naming the flag,
+  /// never a silent truncation.
+  template <typename Int>
+  StatusOr<Int> GetUint(const std::string& name, Int fallback) const {
+    CORRMINE_ASSIGN_OR_RETURN(
+        uint64_t value, GetUint64(name, static_cast<uint64_t>(fallback)));
+    if (value > static_cast<uint64_t>(std::numeric_limits<Int>::max())) {
+      return Status::InvalidArgument(
+          "--" + name + " must be at most " +
+          std::to_string(std::numeric_limits<Int>::max()) + ", got " +
+          std::to_string(value));
+    }
+    return static_cast<Int>(value);
+  }
 
   /// True when the flag appears bare or with a truthy value
   /// (1/true/yes/on).

@@ -484,190 +484,4 @@ Status ParallelForSlots(
   return ParallelForSlotsImpl(pool, n, grain, body);
 }
 
-namespace {
-
-/// Shared coordination for one OrderedPipeline region. Stage completion is
-/// tracked per chunk (`done[c]`); the consumer waits on exactly the chunk
-/// it needs next. Errors carry their *sequence position* — stage(c) is
-/// position 2c, consume(c) is 2c+1 — so the reported error is the one the
-/// inline loop would have hit first.
-struct PipelineState {
-  PipelineState(size_t chunks, size_t slot_capacity)
-      : done(std::make_unique<std::atomic<uint8_t>[]>(chunks)),
-        slots(slot_capacity) {
-    for (size_t i = 0; i < chunks; ++i) {
-      done[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
-  std::atomic<size_t> next{0};
-  std::unique_ptr<std::atomic<uint8_t>[]> done;
-  std::atomic<bool> failed{false};
-  SlotPool slots;
-
-  std::mutex error_mu;
-  bool has_error = false;
-  size_t first_error_pos = 0;
-  Status first_error;
-
-  std::atomic<size_t> outstanding{0};
-  std::mutex mu;  // guards cv waits (chunk-done and final join)
-  std::condition_variable cv;
-};
-
-void RecordPipelineFailure(PipelineState* state, size_t pos, Status status) {
-  std::lock_guard<std::mutex> lock(state->error_mu);
-  if (!state->has_error || pos < state->first_error_pos) {
-    state->has_error = true;
-    state->first_error_pos = pos;
-    state->first_error = std::move(status);
-  }
-  state->failed.store(true, std::memory_order_release);
-}
-
-/// Claims and runs one stage chunk; returns false when the cursor is
-/// drained. After a failure, remaining chunks are still claimed and marked
-/// done (without running) so the ordered consumer can never wait forever
-/// on a chunk that nobody will execute.
-bool RunOneStageChunk(PipelineState* state, size_t n, size_t grain,
-                      size_t num_chunks, size_t slot,
-                      const std::function<Status(size_t, size_t, size_t)>& stage) {
-  size_t begin = state->next.fetch_add(grain, std::memory_order_relaxed);
-  if (begin >= n) return false;
-  const size_t chunk = begin / grain;
-  (void)num_chunks;
-  if (!state->failed.load(std::memory_order_acquire)) {
-    Status status = InvokeGuarded(stage, slot, begin, std::min(begin + grain, n));
-    if (!status.ok()) {
-      RecordPipelineFailure(state, 2 * chunk, std::move(status));
-    }
-  }
-  state->done[chunk].store(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-  }
-  state->cv.notify_all();
-  return true;
-}
-
-void RunStageChunks(PipelineState* state, size_t n, size_t grain,
-                    size_t num_chunks,
-                    const std::function<Status(size_t, size_t, size_t)>& stage) {
-  if (state->next.load(std::memory_order_relaxed) >= n) return;
-  const size_t slot = state->slots.Acquire();
-  while (RunOneStageChunk(state, n, grain, num_chunks, slot, stage)) {
-  }
-  state->slots.Release(slot);
-}
-
-}  // namespace
-
-size_t OrderedPipelineSlotBound(ThreadPool* pool, size_t n, size_t grain) {
-  if (n == 0) return 1;
-  CORRMINE_CHECK(grain > 0) << "OrderedPipeline grain must be positive";
-  const size_t num_chunks = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->num_threads() == 0 || num_chunks == 1) return 1;
-  return std::min(static_cast<size_t>(pool->num_threads()), num_chunks) + 1;
-}
-
-Status OrderedPipeline(
-    ThreadPool* pool, size_t n, size_t grain,
-    const std::function<Status(size_t slot, size_t begin, size_t end)>& stage,
-    const std::function<Status(size_t begin, size_t end)>& consume) {
-  if (n == 0) return Status::OK();
-  CORRMINE_CHECK(grain > 0) << "OrderedPipeline grain must be positive";
-  const size_t num_chunks = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->num_threads() == 0 || num_chunks == 1) {
-    for (size_t begin = 0; begin < n; begin += grain) {
-      size_t end = std::min(begin + grain, n);
-      CORRMINE_RETURN_NOT_OK(InvokeGuarded(stage, 0, begin, end));
-      Status status;
-      try {
-        status = consume(begin, end);
-      } catch (const std::exception& e) {
-        status = Status::Internal(
-            std::string("uncaught exception in parallel region: ") + e.what());
-      } catch (...) {
-        status =
-            Status::Internal("uncaught non-std exception in parallel region");
-      }
-      CORRMINE_RETURN_NOT_OK(status);
-    }
-    return Status::OK();
-  }
-
-  // Unlike ParallelFor, helpers may take every chunk: the caller's job is
-  // consuming, and it only runs stage chunks when it would otherwise wait.
-  const size_t helpers =
-      std::min(static_cast<size_t>(pool->num_threads()), num_chunks);
-  auto state = std::make_shared<PipelineState>(num_chunks, helpers + 1);
-  state->outstanding.store(helpers, std::memory_order_relaxed);
-
-  for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([state, n, grain, num_chunks, &stage] {
-      RunStageChunks(state.get(), n, grain, num_chunks, stage);
-      if (state->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->cv.notify_all();
-      }
-    });
-  }
-
-  // Ordered consumption, overlapped with the stage. The caller claims a
-  // stage chunk itself whenever the chunk it needs next isn't done and the
-  // cursor still has work — so a busy pool never stalls the pipeline.
-  size_t consumer_slot = static_cast<size_t>(-1);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    while (state->done[c].load(std::memory_order_acquire) == 0) {
-      bool claimed;
-      {
-        if (consumer_slot == static_cast<size_t>(-1)) {
-          consumer_slot = state->slots.Acquire();
-        }
-        claimed = RunOneStageChunk(state.get(), n, grain, num_chunks,
-                                   consumer_slot, stage);
-      }
-      if (!claimed) {
-        pool->HelpUntil(state->mu, state->cv, [&state, c] {
-          return state->done[c].load(std::memory_order_acquire) != 0;
-        });
-      }
-    }
-    // Stage errors at chunks <= c are recorded before done[c] is set, so
-    // this read is complete for everything the inline loop would have hit
-    // by now. Stop at the first failure, in order.
-    {
-      std::lock_guard<std::mutex> lock(state->error_mu);
-      if (state->has_error && state->first_error_pos <= 2 * c) break;
-    }
-    const size_t begin = c * grain;
-    const size_t end = std::min(begin + grain, n);
-    Status status;
-    try {
-      status = consume(begin, end);
-    } catch (const std::exception& e) {
-      status = Status::Internal(
-          std::string("uncaught exception in parallel region: ") + e.what());
-    } catch (...) {
-      status =
-          Status::Internal("uncaught non-std exception in parallel region");
-    }
-    if (!status.ok()) {
-      RecordPipelineFailure(state.get(), 2 * c + 1, std::move(status));
-      break;
-    }
-  }
-  if (consumer_slot != static_cast<size_t>(-1)) {
-    state->slots.Release(consumer_slot);
-  }
-
-  pool->HelpUntil(state->mu, state->cv, [&state] {
-    return state->outstanding.load(std::memory_order_acquire) == 0;
-  });
-
-  std::lock_guard<std::mutex> lock(state->error_mu);
-  if (state->has_error) return state->first_error;
-  return Status::OK();
-}
-
 }  // namespace corrmine

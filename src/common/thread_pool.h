@@ -21,7 +21,7 @@ class Histogram;
 
 /// Work-stealing worker pool for the mining engines (DESIGN.md §10).
 /// Tasks are opaque `void()` closures; completion tracking, result routing
-/// and error propagation are layered on top by ParallelFor/OrderedPipeline.
+/// and error propagation are layered on top by ParallelFor.
 ///
 /// Scheduling model: every worker owns a deque. Submit from a worker thread
 /// pushes to that worker's own deque (never blocks, never spawns — nested
@@ -159,25 +159,6 @@ Status ParallelForSlots(
 /// out for this (pool, n, grain) combination. Use it to size per-slot
 /// scratch before entering the region. Always >= 1.
 size_t ParallelForSlotBound(ThreadPool* pool, size_t n, size_t grain);
-
-/// Parallel stage + strictly ordered serial consumer, overlapped: `stage`
-/// runs over chunks of [0, n) concurrently (slot-addressed scratch exactly
-/// as in ParallelForSlots), while `consume` is invoked on the calling
-/// thread for every chunk in increasing index order as soon as that chunk's
-/// stage completes — the consumer chases the stage instead of waiting for a
-/// full barrier. Sequential semantics are preserved: the result equals
-/// running `stage(c); consume(c)` for c = 0,1,2,... inline, including which
-/// error is returned (earliest in that interleaved order). Because `stage`
-/// may run speculatively ahead of a consumer error, it must confine its
-/// side effects to its slot scratch and chunk-addressed outputs.
-Status OrderedPipeline(
-    ThreadPool* pool, size_t n, size_t grain,
-    const std::function<Status(size_t slot, size_t begin, size_t end)>& stage,
-    const std::function<Status(size_t begin, size_t end)>& consume);
-
-/// Exact slot capacity OrderedPipeline uses for this (pool, n, grain)
-/// combination — size per-slot stage scratch with it. Always >= 1.
-size_t OrderedPipelineSlotBound(ThreadPool* pool, size_t n, size_t grain);
 
 }  // namespace corrmine
 

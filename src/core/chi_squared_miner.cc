@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
+#include <iterator>
 #include <memory>
-#include <unordered_map>
+#include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/phase_scope.h"
 #include "common/thread_pool.h"
@@ -44,100 +45,6 @@ Status ValidateOptions(const MinerOptions& options) {
   }
   return Status::OK();
 }
-
-/// Candidate generation for level k+1 (Figure 1, Step 8) is split so it can
-/// overlap the level-k evaluation pipeline instead of running as a serial
-/// phase at the start of the next level:
-///
-///   1. *Raw joins per NOTSIG run.* The NOTSIG list is lexicographically
-///      sorted by construction (candidates arrive in lex order and the
-///      fan-in appends in order), so join partners sharing a (k-1)-prefix
-///      form contiguous runs. The moment the ordered fan-in closes a run
-///      (the next NOTSIG's prefix differs), the run's pairwise joins are
-///      enumerated — as a pool morsel while later candidates are still
-///      being evaluated. Within a run every union has size k+1 (same
-///      prefix, distinct last items), exactly the pairs the sequential
-///      join loop would emit.
-///   2. *Deferred subset filter.* The Step-8 prune (every k-subset must be
-///      NOTSIG) needs the level's complete NOTSIG set, so it runs after the
-///      pipeline drains: parallel over runs, order-preserving within each.
-///
-/// Concatenating the filtered runs in run order reproduces the sequential
-/// candidate stream byte for byte.
-void EnumerateRunJoins(const Itemset* members, size_t count,
-                       std::vector<Itemset>* out) {
-  for (size_t i = 0; i < count; ++i) {
-    for (size_t j = i + 1; j < count; ++j) {
-      out->push_back(members[i].Union(members[j]));
-    }
-  }
-}
-
-bool AllSubsetsNotSig(const Itemset& joined,
-                      const hash::ItemsetPerfectSet& not_sig_set) {
-  for (const Itemset& subset : joined.SubsetsMissingOne()) {
-    if (!not_sig_set.Contains(subset)) return false;
-  }
-  return true;
-}
-
-/// Tracks the NOTSIG prefix runs of one level and farms each closed run's
-/// raw-join enumeration out to the pool. `frontier` must never reallocate
-/// while jobs are in flight (the caller reserves it to the candidate
-/// count), and `joins` likewise holds a stable slot per run.
-struct RunJoiner {
-  const std::vector<Itemset>* frontier = nullptr;
-  size_t prefix_len = 0;
-  size_t run_start = 0;
-  std::vector<std::vector<Itemset>> joins;
-
-  std::atomic<size_t> outstanding{0};
-  std::mutex mu;
-  std::condition_variable cv;
-
-  /// Closes the run [run_start, end_index) and starts the next one. Call
-  /// with end_index == frontier->size() after the fan-in to flush the tail.
-  void CloseRun(ThreadPool* pool, size_t end_index) {
-    const size_t begin = run_start;
-    run_start = end_index;
-    if (end_index - begin < 2) return;  // No pairs to join.
-    joins.emplace_back();
-    std::vector<Itemset>* out = &joins.back();
-    const Itemset* members = frontier->data() + begin;
-    const size_t count = end_index - begin;
-    if (pool == nullptr) {
-      EnumerateRunJoins(members, count, out);
-      return;
-    }
-    outstanding.fetch_add(1, std::memory_order_relaxed);
-    pool->Submit([this, members, count, out] {
-      EnumerateRunJoins(members, count, out);
-      if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    });
-  }
-
-  /// True when `frontier[index]` starts a new run (its (k-1)-prefix differs
-  /// from the previous member's).
-  bool StartsNewRun(size_t index) const {
-    if (index == 0) return false;
-    const Itemset& prev = (*frontier)[index - 1];
-    const Itemset& cur = (*frontier)[index];
-    for (size_t t = 0; t < prefix_len; ++t) {
-      if (prev.item(t) != cur.item(t)) return true;
-    }
-    return false;
-  }
-
-  void Drain(ThreadPool* pool) {
-    if (pool == nullptr) return;
-    pool->HelpUntil(mu, cv, [this] {
-      return outstanding.load(std::memory_order_acquire) == 0;
-    });
-  }
-};
 
 /// One evaluated candidate, parked in an index-addressed slot so batches
 /// evaluated out of order merge back deterministically.
@@ -187,201 +94,113 @@ struct MinerCounters {
 /// small chunks are meaty.
 constexpr size_t kEvalGrain = 16;
 
-/// The deduplicated all-items-present queries of one level, plus the
-/// per-candidate index table that maps every nonzero submask of every
-/// candidate to its slot in the batch answer. Sibling candidates share
-/// almost all of their proper subsets (the join emits runs with a common
-/// (k-1)-prefix, and every (k-1)-subset is itself a NOTSIG member), so the
-/// deduplicated batch is typically several times smaller than the naive
-/// per-candidate query stream — that, not just parallel fan-out, is where
-/// the batch API's throughput comes from (DESIGN.md §7).
-/// Dedup sharding parameters. 64 shards = 6 bits of the subset hash; the
-/// shard axis is the stage-2 parallel unit, so shard count bounds dedup
-/// parallelism while staying cheap to bucket into.
-constexpr size_t kDedupShards = 64;
-/// Candidates per stage-1 bucketing chunk.
-constexpr size_t kDedupChunkCands = 256;
-/// Flat entries per stage-3 id-remap chunk.
-constexpr size_t kRemapGrain = size_t{1} << 14;
+/// One level's NOTSIG, kept in the perfect hash Figure 1 names (§4, [7]).
+/// The set's insertion-ordered itemsets() is the level's NOTSIG list, in
+/// candidate (hence lexicographic) order, and `counts[i]` is the
+/// all-present count of itemsets()[i], known since it was counted as a
+/// candidate. The Step-8 prune makes every proper subset of two or more
+/// items of a later candidate a NOTSIG member of its own level, so later
+/// levels read those counts here instead of counting them again.
+struct NotSigTable {
+  hash::ItemsetPerfectSet set;
+  std::vector<uint64_t> counts;
+};
 
-/// Mixed FNV-1a over a subset's items. The top bits pick the dedup shard
-/// and the low bits the open-addressing probe, so the final mix keeps them
-/// independent. Internal to the plan build — nothing persists it.
-uint64_t HashSubset(const ItemId* items, size_t k) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < k; ++i) {
-    h ^= items[i];
-    h *= 1099511628211ull;
+/// Fills the 2^k all-present counts of candidate `s` (bit j of the mask =
+/// the j-th item present): the empty mask is n, the full mask the
+/// candidate's own count, singletons come from `item_counts`, and every
+/// other submask from the NOTSIG table of its size.
+Status FillAllPresent(const Itemset& s, uint64_t n, uint64_t count,
+                      const std::vector<uint64_t>& item_counts,
+                      const std::vector<NotSigTable>& not_sig,
+                      std::span<uint64_t> all_present) {
+  const size_t k = s.size();
+  const uint32_t full = (uint32_t{1} << k) - 1;
+  all_present[0] = n;
+  all_present[full] = count;
+  ItemId items[ContingencyTable::kMaxItems];
+  for (uint32_t m = 1; m < full; ++m) {
+    size_t size = 0;
+    for (size_t j = 0; j < k; ++j) {
+      if ((m >> j) & 1) items[size++] = s.item(j);
+    }
+    if (size == 1) {
+      all_present[m] = item_counts[items[0]];
+      continue;
+    }
+    const NotSigTable& table = not_sig[size];
+    const std::optional<size_t> index = table.set.Find({items, size});
+    if (!index.has_value()) {
+      return Status::Internal(
+          "subset " + Itemset(std::vector<ItemId>(items, items + size))
+                          .ToString() +
+          " of candidate " + s.ToString() + " is not in the level-" +
+          std::to_string(size) + " NOTSIG table");
+    }
+    all_present[m] = table.counts[*index];
   }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  return h;
+  return Status::OK();
 }
 
-struct LevelQueryPlan {
-  std::vector<Itemset> queries;
-  /// cand_query_index[ci * num_cells + m] answers submask m of candidate
-  /// ci; entry 0 of each row is unused (the empty mask is n).
-  std::vector<uint32_t> cand_query_index;
-  uint32_t num_cells = 0;
-
-  /// Builds the plan for a level of uniform-size candidates.
-  ///
-  /// Deduplication is hash-sharded so it parallelizes and — equally
-  /// important on small machines — never allocates per probe: stage 1
-  /// buckets every (candidate, submask) reference by subset hash into
-  /// (chunk, shard) buckets; stage 2 dedups each shard independently with
-  /// a flat open-addressing table, walking its buckets in chunk order and
-  /// materializing an Itemset only on first touch; stage 3 turns
-  /// (shard, local id) into global ids by prefix-summed shard bases. Every
-  /// stage is a pure function of the candidate stream, so the plan is
-  /// identical for any thread count — only the query *order* differs from
-  /// the old serial first-touch walk, which nothing downstream observes
-  /// (grouping, counts and counters all come out the same).
-  static LevelQueryPlan Build(const std::vector<Itemset>& cand, int level,
-                              ThreadPool* pool) {
-    LevelQueryPlan plan;
-    const int k = level;
-    plan.num_cells = uint32_t{1} << k;
-    plan.cand_query_index.assign(cand.size() * plan.num_cells, 0);
-
-    // Stage 1: bucket subset references by shard. An entry is the subset's
-    // hash plus its (candidate, mask) coordinates; the subset itself is
-    // rebuilt from those coordinates when needed, so buckets stay POD.
-    struct Entry {
-      uint64_t hash;
-      uint64_t cand_mask;  // ci << 32 | m
-    };
-    const size_t num_chunks =
-        (cand.size() + kDedupChunkCands - 1) / kDedupChunkCands;
-    std::vector<std::vector<Entry>> buckets(num_chunks * kDedupShards);
-    Status status = ParallelFor(
-        pool, num_chunks, 1, [&](size_t c_begin, size_t c_end) -> Status {
-          ItemId items[ContingencyTable::kMaxItems];
-          for (size_t chunk = c_begin; chunk < c_end; ++chunk) {
-            std::vector<Entry>* out = &buckets[chunk * kDedupShards];
-            const size_t ci_begin = chunk * kDedupChunkCands;
-            const size_t ci_end =
-                std::min(ci_begin + kDedupChunkCands, cand.size());
-            for (size_t ci = ci_begin; ci < ci_end; ++ci) {
-              const Itemset& s = cand[ci];
-              for (uint32_t m = 1; m < plan.num_cells; ++m) {
-                size_t kk = 0;
-                for (int j = 0; j < k; ++j) {
-                  if ((m >> j) & 1) items[kk++] = s.item(j);
-                }
-                const uint64_t h = HashSubset(items, kk);
-                out[h >> 58].push_back(
-                    Entry{h, (static_cast<uint64_t>(ci) << 32) | m});
-              }
-            }
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-
-    // Stage 2: dedup each shard with a flat open-addressing table, chunks
-    // in order (first touch within a shard is schedule-independent).
-    // cand_query_index temporarily holds (shard << 26 | local id) + 1.
-    struct Shard {
-      std::vector<Itemset> queries;
-      std::vector<uint64_t> hashes;
-    };
-    std::vector<Shard> shards(kDedupShards);
-    status = ParallelFor(
-        pool, kDedupShards, 1, [&](size_t s_begin, size_t s_end) -> Status {
-          ItemId items[ContingencyTable::kMaxItems];
-          for (size_t s = s_begin; s < s_end; ++s) {
-            size_t entries = 0;
-            for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-              entries += buckets[chunk * kDedupShards + s].size();
-            }
-            if (entries == 0) continue;
-            size_t cap = 16;
-            while (cap < 2 * entries) cap <<= 1;
-            const size_t probe_mask = cap - 1;
-            std::vector<uint32_t> table(cap, 0);  // local id + 1
-            Shard& shard = shards[s];
-            for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-              for (const Entry& e : buckets[chunk * kDedupShards + s]) {
-                const size_t ci = static_cast<size_t>(e.cand_mask >> 32);
-                const uint32_t m = static_cast<uint32_t>(e.cand_mask);
-                const Itemset& sc = cand[ci];
-                size_t kk = 0;
-                for (int j = 0; j < k; ++j) {
-                  if ((m >> j) & 1) items[kk++] = sc.item(j);
-                }
-                size_t idx = e.hash & probe_mask;
-                uint32_t local;
-                for (;;) {
-                  const uint32_t v = table[idx];
-                  if (v == 0) {
-                    local = static_cast<uint32_t>(shard.queries.size());
-                    // Strict bound: the +1 temp encoding below must not wrap
-                    // at (shard 63, local 2^26-1).
-                    CORRMINE_CHECK(local + 1 < (uint32_t{1} << 26))
-                        << "dedup shard overflow";
-                    table[idx] = local + 1;
-                    shard.queries.emplace_back(
-                        std::vector<ItemId>(items, items + kk));
-                    shard.hashes.push_back(e.hash);
-                    break;
-                  }
-                  const uint32_t cand_local = v - 1;
-                  if (shard.hashes[cand_local] == e.hash) {
-                    const Itemset& q = shard.queries[cand_local];
-                    if (q.size() == kk &&
-                        std::equal(items, items + kk, q.begin())) {
-                      local = cand_local;
-                      break;
-                    }
-                  }
-                  idx = (idx + 1) & probe_mask;
-                }
-                plan.cand_query_index[ci * plan.num_cells + m] =
-                    ((static_cast<uint32_t>(s) << 26) | local) + 1;
-              }
-            }
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-
-    // Stage 3: shard-base prefix sums, then rewrite every reference to its
-    // global id and splice the shard query lists in shard order.
-    size_t bases[kDedupShards];
-    size_t total = 0;
-    for (size_t s = 0; s < kDedupShards; ++s) {
-      bases[s] = total;
-      total += shards[s].queries.size();
+/// Step 8: the level-(k+1) candidates from level k's NOTSIG list. The list
+/// is lexicographic, so join partners (members sharing a (k-1)-prefix)
+/// form contiguous runs, and a pair (a, b) of a run unions to the prefix
+/// plus both last items. Of that union's k-subsets, the two that drop a
+/// last item are b and a themselves; only the other k-1 are looked up.
+/// Runs are joined and pruned in parallel, an Itemset is built only for a
+/// surviving union, and the runs concatenate in run order — the
+/// sequential pairwise join, reproduced.
+StatusOr<std::vector<Itemset>> GenerateCandidates(
+    const hash::ItemsetPerfectSet& not_sig, size_t k, ThreadPool* pool) {
+  const std::vector<Itemset>& members = not_sig.itemsets();
+  std::vector<std::pair<size_t, size_t>> runs;  // [begin, end), size >= 2
+  size_t run_begin = 0;
+  for (size_t i = 1; i <= members.size(); ++i) {
+    if (i < members.size() &&
+        std::equal(members[i].begin(), members[i].begin() + (k - 1),
+                   members[run_begin].begin())) {
+      continue;
     }
-    plan.queries.resize(total);
-    status = ParallelFor(
-        pool, kDedupShards, 1, [&](size_t s_begin, size_t s_end) -> Status {
-          for (size_t s = s_begin; s < s_end; ++s) {
-            std::move(shards[s].queries.begin(), shards[s].queries.end(),
-                      plan.queries.begin() + static_cast<ptrdiff_t>(bases[s]));
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-    status = ParallelFor(
-        pool, plan.cand_query_index.size(), kRemapGrain,
-        [&](size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            const uint32_t enc = plan.cand_query_index[i];
-            if (enc == 0) continue;  // Mask-0 slots stay unused.
-            const uint32_t packed = enc - 1;
-            plan.cand_query_index[i] = static_cast<uint32_t>(
-                bases[packed >> 26] + (packed & ((uint32_t{1} << 26) - 1)));
-          }
-          return Status::OK();
-        });
-    CORRMINE_CHECK(status.ok()) << status.ToString();
-    return plan;
+    if (i - run_begin >= 2) runs.emplace_back(run_begin, i);
+    run_begin = i;
   }
-};
+
+  std::vector<std::vector<Itemset>> joined(runs.size());
+  CORRMINE_RETURN_NOT_OK(ParallelFor(
+      pool, runs.size(), 1, [&](size_t r_begin, size_t r_end) -> Status {
+        ItemId join[ContingencyTable::kMaxItems];
+        ItemId subset[ContingencyTable::kMaxItems];
+        for (size_t r = r_begin; r < r_end; ++r) {
+          const auto [begin, end] = runs[r];
+          std::copy_n(members[begin].begin(), k - 1, join);
+          for (size_t a = begin; a < end; ++a) {
+            join[k - 1] = members[a].item(k - 1);
+            for (size_t b = a + 1; b < end; ++b) {
+              join[k] = members[b].item(k - 1);
+              bool all_not_sig = true;
+              for (size_t drop = 0; drop + 1 < k && all_not_sig; ++drop) {
+                std::copy_n(join, drop, subset);
+                std::copy_n(join + drop + 1, k - drop, subset + drop);
+                all_not_sig = not_sig.Find({subset, k}).has_value();
+              }
+              if (all_not_sig) {
+                joined[r].emplace_back(
+                    std::vector<ItemId>(join, join + k + 1));
+              }
+            }
+          }
+        }
+        return Status::OK();
+      }));
+  size_t total = 0;
+  for (const std::vector<Itemset>& run : joined) total += run.size();
+  std::vector<Itemset> next;
+  next.reserve(total);
+  for (std::vector<Itemset>& run : joined) {
+    std::move(run.begin(), run.end(), std::back_inserter(next));
+  }
+  return next;
+}
 
 }  // namespace
 
@@ -472,10 +291,11 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     }
   }
 
-  // The NOTSIG frontier of the last processed level (kept for the frontier
-  // output and the continue-mining condition); SIG is appended to the
-  // output as discovered.
-  std::vector<Itemset> not_sig;
+  // NOTSIG of every level visited so far, indexed by level: later levels
+  // read their candidates' subset counts here, and the last one kept is the
+  // frontier. SIG is appended to the output as discovered.
+  std::vector<NotSigTable> not_sig(static_cast<size_t>(max_level) + 1);
+  int frontier_level = 0;
 
   for (int level = 2; level <= max_level; ++level) {
     PhaseScope level_phase(&registry, "miner.level", level, -1,
@@ -484,171 +304,105 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
     stats.level = level;
     stats.possible_itemsets = BinomialCount(num_items, level);
 
-    std::vector<Itemset> next_not_sig;
-    hash::ItemsetPerfectSet next_not_sig_set;
+    NotSigTable& level_not_sig = not_sig[static_cast<size_t>(level)];
     // Skip NOTSIG bookkeeping when this is the last level we will visit —
     // nothing consumes it, and on dense data it is the memory high-water
     // mark — unless the caller asked for the frontier.
     const bool keep_not_sig = level < max_level || options.keep_frontier;
-    // Whether another level can follow: only then are next-level joins
-    // enumerated (overlapped with this level's evaluation).
     const bool gen_next = level < max_level;
     std::vector<Itemset> next_cand;
 
-    // Steps 6-7, batched per level: CAND is materialized whole, its
-    // deduplicated submask queries are answered by ONE CountAllPresentBatch
-    // call against the provider, and candidates are then streamed through
-    // an ordered evaluation pipeline (support test, then chi-squared, into
-    // index-addressed slots) whose single-threaded consumer commits
-    // verdicts *in stream order* while later chunks are still evaluating —
-    // so the output is byte-identical whatever the thread count or provider,
-    // including the inline single-threaded path.
-    //
-    // Materializing CAND trades the old 32-MB streaming discipline for the
-    // single-batch contract that batching providers need (issuing one
-    // round trip per level instead of one per candidate); CAND at level k
-    // is bounded by the NOTSIG join, which pruning keeps far below the
-    // raw C(|I|, k) lattice width.
+    // One level is three steps, each finished before the next starts:
+    // count every candidate in ONE CountAllPresentBatch (Step 6), evaluate
+    // them in parallel into index-addressed slots and commit the verdicts
+    // serially in candidate order (Step 7), then join and prune the new
+    // NOTSIG into the next level's candidates (Step 8). Committing in
+    // candidate order keeps the output byte-identical for any thread count
+    // or provider.
     if (!cand.empty()) {
       TraceInstant("miner.candidates", level, -1,
                    static_cast<int64_t>(cand.size()));
-      LevelQueryPlan plan = [&] {
-        PhaseScope plan_phase(&registry, "miner.plan", level, -1,
-                              static_cast<int64_t>(cand.size()));
-        return LevelQueryPlan::Build(cand, level, pool);
-      }();
-      std::vector<uint64_t> query_counts(plan.queries.size());
+      std::vector<uint64_t> cand_counts(cand.size());
       {
         PhaseScope count_phase(&registry, "miner.count_batch", level, -1,
-                               static_cast<int64_t>(plan.queries.size()));
-        provider.CountAllPresentBatch(plan.queries, query_counts, pool);
+                               static_cast<int64_t>(cand.size()));
+        provider.CountAllPresentBatch(cand, cand_counts, pool);
       }
 
-      std::vector<EvalSlot> slots(cand.size());
-      PhaseScope eval_phase(&registry, "miner.evaluate", level, -1,
-                            static_cast<int64_t>(cand.size()));
-      // The fan-in appends NOTSIG members in candidate order; runs of a
-      // shared (k-1)-prefix close as soon as the next member's prefix
-      // differs, and each closed run's raw joins are enumerated as pool
-      // morsels *while later candidates are still being evaluated*. The
-      // frontier is reserved up front so in-flight join morsels read
-      // stable storage.
-      RunJoiner joiner;
-      joiner.frontier = &next_not_sig;
-      joiner.prefix_len = static_cast<size_t>(level) - 1;
-      if (keep_not_sig) next_not_sig.reserve(cand.size());
-      if (gen_next) joiner.joins.reserve(cand.size());
-
-      // Per-slot evaluation scratch: the 2^k all-present vector each chunk
-      // assembles tables from, sized once per level and reused across every
-      // chunk that slot runs.
-      const size_t eval_slots =
-          OrderedPipelineSlotBound(pool, cand.size(), kEvalGrain);
-      std::vector<std::vector<uint64_t>> eval_scratch(eval_slots);
-      Status eval_status = OrderedPipeline(
-          pool, cand.size(), kEvalGrain,
-          [&](size_t slot, size_t begin, size_t end) -> Status {
-            std::vector<uint64_t>& all_present = eval_scratch[slot];
-            if (all_present.size() < plan.num_cells) {
-              all_present.resize(plan.num_cells);
-            }
-            for (size_t i = begin; i < end; ++i) {
-              all_present[0] = n;
-              const uint32_t* row = &plan.cand_query_index[i * plan.num_cells];
-              for (uint32_t m = 1; m < plan.num_cells; ++m) {
-                all_present[m] = query_counts[row[m]];
-              }
-              CORRMINE_ASSIGN_OR_RETURN(
-                  ContingencyTable table,
-                  ContingencyTable::FromAllPresentCounts(cand[i],
-                                                         all_present));
-              if (!HasCellSupport(table, options.support)) {
-                slots[i].kind = EvalSlot::Kind::kDiscard;
-                continue;
-              }
-              ChiSquaredResult chi2 = ComputeChiSquared(table, options.chi2);
-              slots[i].masked_cells = chi2.validity.masked_cells;
-              if (chi2.SignificantAt(options.confidence_level)) {
-                slots[i].kind = EvalSlot::Kind::kSig;
-                slots[i].chi2 = chi2;
-                slots[i].major = MajorDependenceCell(table);
-              } else {
-                slots[i].kind = EvalSlot::Kind::kNotSig;
-              }
-            }
-            return Status::OK();
-          },
-          // Deterministic fan-in: the ordered consumer walks the slots in
-          // candidate order, so SIG/NOTSIG/stat updates match the
-          // sequential history exactly.
-          [&](size_t begin, size_t end) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              ++stats.candidates;
-              switch (slots[i].kind) {
-                case EvalSlot::Kind::kDiscard:
-                  ++stats.discards;
-                  break;
-                case EvalSlot::Kind::kSig:
-                  ++stats.significant;
-                  ++stats.chi2_tests;
-                  stats.masked_cells += slots[i].masked_cells;
-                  result.significant.push_back(CorrelationRule{
-                      std::move(cand[i]), slots[i].chi2, slots[i].major});
-                  break;
-                case EvalSlot::Kind::kNotSig:
-                  ++stats.not_significant;
-                  ++stats.chi2_tests;
-                  stats.masked_cells += slots[i].masked_cells;
-                  if (keep_not_sig) {
-                    next_not_sig_set.Insert(cand[i]);
-                    next_not_sig.push_back(std::move(cand[i]));
-                    const size_t t = next_not_sig.size() - 1;
-                    if (gen_next && joiner.StartsNewRun(t)) {
-                      joiner.CloseRun(pool, t);
-                    }
-                  }
-                  break;
-              }
-            }
-            return Status::OK();
-          });
-      // In-flight join morsels hold pointers into `next_not_sig` and
-      // `joiner.joins` — drain them before any return, including the error
-      // one, or the early exit would free storage under a live task.
-      if (gen_next) joiner.Drain(pool);
-      CORRMINE_RETURN_NOT_OK(eval_status);
-
-      // Step 8, finished off: flush the tail run, drain in-flight join
-      // morsels, then apply the subset prune (which needs the *complete*
-      // NOTSIG set) in parallel over runs. Filtered runs concatenate in
-      // run order — the sequential candidate stream, byte for byte.
-      if (gen_next) {
-        joiner.CloseRun(pool, next_not_sig.size());
-        joiner.Drain(pool);
-        PhaseScope gen_phase(&registry, "miner.generate", level, -1,
-                             static_cast<int64_t>(joiner.joins.size()));
-        CORRMINE_RETURN_NOT_OK(ParallelFor(
-            pool, joiner.joins.size(), 1,
-            [&](size_t begin, size_t end) -> Status {
-              for (size_t r = begin; r < end; ++r) {
-                std::vector<Itemset>& run = joiner.joins[r];
-                run.erase(std::remove_if(run.begin(), run.end(),
-                                         [&](const Itemset& joined) {
-                                           return !AllSubsetsNotSig(
-                                               joined, next_not_sig_set);
-                                         }),
-                          run.end());
+      {
+        PhaseScope eval_phase(&registry, "miner.evaluate", level, -1,
+                              static_cast<int64_t>(cand.size()));
+        std::vector<EvalSlot> slots(cand.size());
+        // Per-slot scratch: the 2^k all-present vector each chunk assembles
+        // tables from, sized once per level and reused across chunks.
+        std::vector<std::vector<uint64_t>> eval_scratch(
+            ParallelForSlotBound(pool, cand.size(), kEvalGrain),
+            std::vector<uint64_t>(size_t{1} << level));
+        CORRMINE_RETURN_NOT_OK(ParallelForSlots(
+            pool, cand.size(), kEvalGrain,
+            [&](size_t slot, size_t begin, size_t end) -> Status {
+              std::vector<uint64_t>& all_present = eval_scratch[slot];
+              for (size_t i = begin; i < end; ++i) {
+                CORRMINE_RETURN_NOT_OK(FillAllPresent(cand[i], n,
+                                                      cand_counts[i],
+                                                      item_counts, not_sig,
+                                                      all_present));
+                CORRMINE_ASSIGN_OR_RETURN(
+                    ContingencyTable table,
+                    ContingencyTable::FromAllPresentCounts(cand[i],
+                                                           all_present));
+                if (!HasCellSupport(table, options.support)) {
+                  slots[i].kind = EvalSlot::Kind::kDiscard;
+                  continue;
+                }
+                ChiSquaredResult chi2 = ComputeChiSquared(table, options.chi2);
+                slots[i].masked_cells = chi2.validity.masked_cells;
+                if (chi2.SignificantAt(options.confidence_level)) {
+                  slots[i].kind = EvalSlot::Kind::kSig;
+                  slots[i].chi2 = chi2;
+                  slots[i].major = MajorDependenceCell(table);
+                } else {
+                  slots[i].kind = EvalSlot::Kind::kNotSig;
+                }
               }
               return Status::OK();
             }));
-        size_t total = 0;
-        for (const std::vector<Itemset>& run : joiner.joins) {
-          total += run.size();
+
+        for (size_t i = 0; i < cand.size(); ++i) {
+          ++stats.candidates;
+          switch (slots[i].kind) {
+            case EvalSlot::Kind::kDiscard:
+              ++stats.discards;
+              break;
+            case EvalSlot::Kind::kSig:
+              ++stats.significant;
+              ++stats.chi2_tests;
+              stats.masked_cells += slots[i].masked_cells;
+              result.significant.push_back(CorrelationRule{
+                  std::move(cand[i]), slots[i].chi2, slots[i].major});
+              break;
+            case EvalSlot::Kind::kNotSig:
+              ++stats.not_significant;
+              ++stats.chi2_tests;
+              stats.masked_cells += slots[i].masked_cells;
+              if (keep_not_sig) {
+                level_not_sig.set.Insert(std::move(cand[i]));
+                level_not_sig.counts.push_back(cand_counts[i]);
+              }
+              break;
+          }
         }
-        next_cand.reserve(total);
-        for (std::vector<Itemset>& run : joiner.joins) {
-          std::move(run.begin(), run.end(), std::back_inserter(next_cand));
-        }
+        // SIG and NOTSIG members were moved out; free the rest before the
+        // join allocates the next level.
+        cand = {};
+      }
+
+      if (gen_next) {
+        PhaseScope gen_phase(&registry, "miner.generate", level, -1,
+                             static_cast<int64_t>(level_not_sig.set.size()));
+        CORRMINE_ASSIGN_OR_RETURN(
+            next_cand, GenerateCandidates(level_not_sig.set,
+                                          static_cast<size_t>(level), pool));
       }
     }
 
@@ -667,7 +421,7 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       MinerProgress heartbeat;
       heartbeat.level = level;
       heartbeat.candidates = stats.candidates;
-      heartbeat.frontier = next_not_sig.size();
+      heartbeat.frontier = level_not_sig.set.size();
       heartbeat.significant_total = result.significant.size();
       heartbeat.elapsed_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -676,13 +430,14 @@ StatusOr<MiningResult> MineCorrelations(const CountProvider& provider,
       options.progress(heartbeat);
     }
     if (exhausted) break;
-    not_sig = std::move(next_not_sig);
+    frontier_level = level;
     cand = std::move(next_cand);
-    if (not_sig.size() < 2 || level == max_level) break;
+    if (level_not_sig.set.size() < 2 || level == max_level) break;
   }
 
   if (options.keep_frontier) {
-    result.frontier = std::move(not_sig);
+    result.frontier =
+        not_sig[static_cast<size_t>(frontier_level)].set.itemsets();
   }
   return result;
 }

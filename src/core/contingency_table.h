@@ -56,8 +56,9 @@ class ContingencyTable {
   /// `all_present[m]` = baskets containing every item of submask m of `s`
   /// (bit j = j-th sorted item), for all 2^|s| masks with
   /// `all_present[0] == n`. This is the path the batched level-wise miner
-  /// uses — it answers a whole level's submask queries in one
-  /// CountAllPresentBatch, then Mobius-inverts per candidate. Same
+  /// uses — it counts a whole level's candidates in one
+  /// CountAllPresentBatch, reads the proper subsets' counts from earlier
+  /// levels, then Mobius-inverts per candidate. Same
   /// validation and negativity checks as Build; identical tables for
   /// identical counts.
   static StatusOr<ContingencyTable> FromAllPresentCounts(

@@ -2,6 +2,8 @@
 #define CORRMINE_HASH_ITEMSET_SET_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "hash/dynamic_perfect_hash.h"
@@ -23,9 +25,16 @@ class ItemsetPerfectSet {
   explicit ItemsetPerfectSet(uint64_t seed = 0x17e85e7ULL) : table_(seed) {}
 
   /// Inserts `s`; returns true if newly added.
-  bool Insert(const Itemset& s);
+  bool Insert(Itemset s);
 
-  bool Contains(const Itemset& s) const;
+  /// Insertion index of the itemset whose sorted items are `items`, or
+  /// nullopt when it is absent. Takes a span so callers can probe subsets
+  /// assembled on the stack without building an Itemset.
+  std::optional<size_t> Find(std::span<const ItemId> items) const;
+
+  bool Contains(const Itemset& s) const {
+    return Find(s.items()).has_value();
+  }
 
   size_t size() const { return itemsets_.size(); }
   bool empty() const { return itemsets_.empty(); }

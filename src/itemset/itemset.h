@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,11 @@ class Itemset {
   std::vector<Itemset> SubsetsMissingOne() const;
 
   /// FNV-1a style hash of the sorted contents; stable across runs.
-  uint64_t Hash() const;
+  uint64_t Hash() const { return HashItems(items_); }
+
+  /// Hash() of the itemset whose sorted items are `items`, without
+  /// building one — for lookups of subsets assembled on the stack.
+  static uint64_t HashItems(std::span<const ItemId> items);
 
   /// "{3, 7, 12}" — for logs and test failure messages.
   std::string ToString() const;

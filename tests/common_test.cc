@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/flags.h"
 #include "common/status.h"
 #include "common/status_or.h"
 #include "common/string_util.h"
@@ -144,6 +145,45 @@ TEST(StringUtilTest, ToLowerAndJoin) {
   EXPECT_EQ(ToLowerAscii("AbC-9"), "abc-9");
   EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(JoinStrings({}, ","), "");
+}
+
+TEST(FlagParserTest, GetUintNarrowsInRangeValues) {
+  const char* argv[] = {"--threads", "4", "--baskets=4294967295"};
+  auto flags = FlagParser::Parse(3, argv);
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  auto threads = flags->GetUint<int>("threads", 1);
+  ASSERT_TRUE(threads.ok()) << threads.status().ToString();
+  EXPECT_EQ(*threads, 4);
+  auto baskets = flags->GetUint<uint32_t>("baskets", 0);
+  ASSERT_TRUE(baskets.ok()) << baskets.status().ToString();
+  EXPECT_EQ(*baskets, UINT32_MAX);
+  EXPECT_EQ(*flags->GetUint<int>("max-level", 7), 7);  // absent: fallback
+}
+
+TEST(FlagParserTest, GetUintRejectsValuesThatWouldTruncate) {
+  // 2^32 + 1 and 2^32 + 2 would wrap to 1 and 2 in a cast to int.
+  const char* argv[] = {"--threads", "4294967297", "--max-level",
+                        "4294967298", "--rounds", "2147483648",
+                        "--baskets", "4294967296"};
+  auto flags = FlagParser::Parse(8, argv);
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  for (const char* name : {"threads", "max-level", "rounds"}) {
+    auto value = flags->GetUint<int>(name, 1);
+    ASSERT_FALSE(value.ok()) << name;
+    EXPECT_TRUE(value.status().IsInvalidArgument()) << name;
+    EXPECT_NE(value.status().message().find(std::string("--") + name),
+              std::string::npos)
+        << value.status().ToString();
+  }
+  auto baskets = flags->GetUint<uint32_t>("baskets", 0);
+  ASSERT_FALSE(baskets.ok());
+  EXPECT_TRUE(baskets.status().IsInvalidArgument());
+  EXPECT_NE(baskets.status().message().find("--baskets"), std::string::npos);
+  // INT_MAX itself is in range.
+  const char* max_argv[] = {"--walks", "2147483647"};
+  auto max_flags = FlagParser::Parse(2, max_argv);
+  ASSERT_TRUE(max_flags.ok());
+  EXPECT_EQ(*max_flags->GetUint<int>("walks", 1000), 2147483647);
 }
 
 }  // namespace

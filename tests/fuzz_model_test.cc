@@ -2,6 +2,7 @@
 // operation sequences and compare against trusted standard-library models,
 // plus robustness checks feeding random bytes into the parsers.
 
+#include <optional>
 #include <set>
 #include <string>
 
@@ -88,6 +89,13 @@ TEST_P(PerfectSetModel, InsertContainsMatchReference) {
     }
     Itemset probe(probe_items);
     ASSERT_EQ(subject.Contains(probe), model.count(probe) > 0);
+    // Find agrees with Contains and names the probe's insertion slot.
+    const std::optional<size_t> index = subject.Find(probe.items());
+    ASSERT_EQ(index.has_value(), subject.Contains(probe));
+    if (index.has_value()) {
+      ASSERT_LT(*index, subject.size());
+      ASSERT_EQ(subject.itemsets()[*index], probe);
+    }
   }
 }
 

@@ -284,29 +284,57 @@ TEST(MinerMetricsTest, EveryMinerPhaseReachesEverySink) {
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const io::JsonValue* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
+  // The same walk checks that a level's phases run one after another:
+  // every miner.evaluate and miner.generate span is a direct child of
+  // miner.level, and a level's evaluate ends before its generate begins.
   std::map<double, std::vector<std::string>> open;
   std::map<std::string, uint64_t> pairs;
+  std::map<double, int64_t> open_level;   // tid -> innermost miner.level
+  std::map<int64_t, double> evaluate_end;  // level -> ts
+  std::map<int64_t, double> generate_begin;
   for (const io::JsonValue& event : events->array) {
     const std::string& name = event.Find("name")->string_value;
     const std::string& ph = event.Find("ph")->string_value;
-    std::vector<std::string>& stack = open[event.Find("tid")->number_value];
-    if (ph == "B") stack.push_back(name);
+    const double tid = event.Find("tid")->number_value;
+    const double ts = event.Find("ts")->number_value;
+    std::vector<std::string>& stack = open[tid];
+    if (ph == "B") {
+      if (name == "miner.level") {
+        open_level[tid] = static_cast<int64_t>(
+            event.Find("args")->Find("level")->number_value);
+      }
+      if (name == "miner.evaluate" || name == "miner.generate") {
+        ASSERT_FALSE(stack.empty()) << name << " outside any span";
+        EXPECT_EQ(stack.back(), "miner.level") << name;
+      }
+      if (name == "miner.generate") {
+        EXPECT_TRUE(generate_begin.emplace(open_level[tid], ts).second);
+      }
+      stack.push_back(name);
+    }
     if (ph == "E") {
       ASSERT_FALSE(stack.empty()) << "unmatched end of " << name;
       ASSERT_EQ(stack.back(), name);
       stack.pop_back();
       ++pairs[name];
+      if (name == "miner.evaluate") {
+        EXPECT_TRUE(evaluate_end.emplace(open_level[tid], ts).second);
+      }
     }
   }
   for (const auto& [tid, stack] : open) {
     EXPECT_TRUE(stack.empty()) << "unclosed spans on tid " << tid;
   }
+  ASSERT_FALSE(generate_begin.empty());
+  for (const auto& [level, begin] : generate_begin) {
+    ASSERT_EQ(evaluate_end.count(level), 1u) << "level " << level;
+    EXPECT_LE(evaluate_end.at(level), begin) << "level " << level;
+  }
 
   const auto profile = Profiler::Global().PhaseSnapshot();
   MetricsRegistry::Snapshot snap = registry.Snap();
-  for (const char* phase : {"miner.mine", "miner.level", "miner.plan",
-                            "miner.count_batch", "miner.evaluate",
-                            "miner.generate"}) {
+  for (const char* phase : {"miner.mine", "miner.level", "miner.count_batch",
+                            "miner.evaluate", "miner.generate"}) {
     SCOPED_TRACE(phase);
     const std::string name(phase);
     ASSERT_EQ(snap.histograms.count(name + ".ns"), 1u);

@@ -196,8 +196,16 @@ TEST(MiningSessionTest, LevelWiseMinerStaysOnBatchPath) {
     EXPECT_EQ(registry.GetCounter("count_provider.batch_calls")->Value(),
               result->levels.size() + 1)
         << "provider " << static_cast<int>(provider);
-    EXPECT_GT(registry.GetCounter("count_provider.batch_queries")->Value(),
-              0u);
+    // Figure 1's counting contract: the singletons once, then exactly one
+    // query per candidate — every other subset count is read from the
+    // NOTSIG tables of the levels below.
+    uint64_t candidates = 0;
+    for (const LevelStats& level : result->levels) {
+      candidates += level.candidates;
+    }
+    EXPECT_EQ(registry.GetCounter("count_provider.batch_queries")->Value(),
+              db.num_items() + candidates)
+        << "provider " << static_cast<int>(provider);
   }
 }
 

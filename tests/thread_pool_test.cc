@@ -252,88 +252,6 @@ TEST(ParallelForTest, SlotsAreExclusiveWhileHeld) {
   EXPECT_EQ(total, 10000ull * 9999ull / 2ull);
 }
 
-TEST(OrderedPipelineTest, ConsumesEveryChunkInOrder) {
-  ThreadPool pool(3);
-  constexpr size_t kN = 5000;
-  std::vector<uint32_t> staged(kN, 0);
-  std::vector<size_t> consumed_begins;
-  uint64_t checksum = 0;
-  Status status = OrderedPipeline(
-      &pool, kN, /*grain=*/13,
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          staged[i] = static_cast<uint32_t>(i * 3 + 1);
-        }
-        return Status::OK();
-      },
-      [&](size_t begin, size_t end) -> Status {
-        consumed_begins.push_back(begin);  // serial: no lock needed
-        for (size_t i = begin; i < end; ++i) checksum += staged[i];
-        return Status::OK();
-      });
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  ASSERT_EQ(consumed_begins.size(), (kN + 12) / 13);
-  for (size_t c = 0; c < consumed_begins.size(); ++c) {
-    EXPECT_EQ(consumed_begins[c], c * 13);
-  }
-  uint64_t expected = 0;
-  for (size_t i = 0; i < kN; ++i) expected += i * 3 + 1;
-  EXPECT_EQ(checksum, expected);
-}
-
-TEST(OrderedPipelineTest, MatchesInlineSemanticsOnErrors) {
-  // A stage error and a consumer error racing: the reported error must be
-  // the one the inline interleaving stage(0),consume(0),stage(1),... hits
-  // first. Stage fails at chunk 20 (position 40); the consumer fails at
-  // chunk 10 (position 21) — the consumer error must win, every round.
-  ThreadPool pool(4);
-  for (int round = 0; round < 10; ++round) {
-    Status status = OrderedPipeline(
-        &pool, 1000, /*grain=*/10,
-        [&](size_t, size_t begin, size_t) -> Status {
-          if (begin == 200) return Status::Internal("stage chunk 20");
-          return Status::OK();
-        },
-        [&](size_t begin, size_t) -> Status {
-          if (begin == 100) return Status::InvalidArgument("consume chunk 10");
-          return Status::OK();
-        });
-    ASSERT_FALSE(status.ok());
-    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
-    EXPECT_EQ(status.message(), "consume chunk 10");
-  }
-  // And with only a stage error, the earliest stage error wins.
-  Status status = OrderedPipeline(
-      &pool, 1000, /*grain=*/10,
-      [&](size_t, size_t begin, size_t) -> Status {
-        if (begin >= 300) {
-          return Status::Internal("stage chunk " + std::to_string(begin / 10));
-        }
-        return Status::OK();
-      },
-      [&](size_t, size_t) -> Status { return Status::OK(); });
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.message(), "stage chunk 30");
-}
-
-TEST(OrderedPipelineTest, InlineWithoutPool) {
-  std::vector<int> order;
-  Status status = OrderedPipeline(
-      nullptr, 30, /*grain=*/10,
-      [&](size_t, size_t begin, size_t) -> Status {
-        order.push_back(static_cast<int>(begin));
-        return Status::OK();
-      },
-      [&](size_t begin, size_t) -> Status {
-        order.push_back(-(static_cast<int>(begin) + 1));
-        return Status::OK();
-      });
-  ASSERT_TRUE(status.ok());
-  // Strict stage/consume interleaving in chunk order.
-  std::vector<int> expected = {0, -1, 10, -11, 20, -21};
-  EXPECT_EQ(order, expected);
-}
-
 TEST(ParallelForTest, ManySmallRegionsReuseOnePool) {
   // The miner's usage pattern: one pool, many flushes. Stress the
   // region-setup/teardown path for latent races (meaningful under TSan).

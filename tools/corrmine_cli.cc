@@ -195,8 +195,8 @@ constexpr char kUsage[] =
 /// per hardware thread), --names and --provider.
 StatusOr<SessionOptions> SessionOptionsFromFlags(const FlagParser& flags) {
   SessionOptions options;
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t threads, flags.GetUint64("threads", 1));
-  options.num_threads = static_cast<int>(threads);
+  CORRMINE_ASSIGN_OR_RETURN(options.num_threads,
+                            flags.GetUint<int>("threads", 1));
   options.named_items = flags.GetBool("names", false);
   const std::string provider = flags.GetString("provider", "bitmap");
   if (provider == "bitmap") {
@@ -222,9 +222,8 @@ StatusOr<MinerOptions> MinerOptionsFromFlags(const FlagParser& flags) {
                             flags.GetDouble("cell-fraction", 0.26));
   CORRMINE_ASSIGN_OR_RETURN(options.confidence_level,
                             flags.GetDouble("confidence-level", 0.95));
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t max_level,
-                            flags.GetUint64("max-level", 0));
-  options.max_level = static_cast<int>(max_level);
+  CORRMINE_ASSIGN_OR_RETURN(options.max_level,
+                            flags.GetUint<int>("max-level", 0));
   CORRMINE_ASSIGN_OR_RETURN(options.chi2.min_expected_cell,
                             flags.GetDouble("min-expected", 0.0));
   if (flags.GetBool("progress", false)) {
@@ -379,8 +378,8 @@ Status RunMineOutOfCore(const FlagParser& flags) {
   }
   OutOfCoreMinerOptions options;
   CORRMINE_ASSIGN_OR_RETURN(options.miner, MinerOptionsFromFlags(flags));
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t threads, flags.GetUint64("threads", 1));
-  options.miner.num_threads = static_cast<int>(threads);
+  CORRMINE_ASSIGN_OR_RETURN(options.miner.num_threads,
+                            flags.GetUint<int>("threads", 1));
   CORRMINE_ASSIGN_OR_RETURN(
       options.memory_budget_bytes,
       flags.GetUint64("memory-budget", uint64_t{256} << 20));
@@ -497,9 +496,8 @@ Status RunMine(const FlagParser& flags) {
   } else if (algo == "walk") {
     RandomWalkOptions walk;
     walk.miner = options;
-    CORRMINE_ASSIGN_OR_RETURN(uint64_t walks,
-                              flags.GetUint64("walks", 1000));
-    walk.num_walks = static_cast<int>(walks);
+    CORRMINE_ASSIGN_OR_RETURN(walk.num_walks,
+                              flags.GetUint<int>("walks", 1000));
     CORRMINE_ASSIGN_OR_RETURN(result, session.MineRandomWalk(walk));
   } else {
     return Status::InvalidArgument("unknown --algo: " + algo);
@@ -575,9 +573,8 @@ Status RunCheck(const FlagParser& flags) {
   Itemset s(std::move(items));
 
   stats::PermutationTestOptions options;
-  CORRMINE_ASSIGN_OR_RETURN(uint64_t rounds,
-                            flags.GetUint64("rounds", 1000));
-  options.rounds = static_cast<int>(rounds);
+  CORRMINE_ASSIGN_OR_RETURN(options.rounds,
+                            flags.GetUint<int>("rounds", 1000));
   CORRMINE_ASSIGN_OR_RETURN(
       auto result, stats::PermutationIndependenceTest(db, s, options));
   std::cout << "itemset " << s.ToString() << " over " << db.num_baskets()
@@ -730,9 +727,9 @@ Status RunGenerate(const FlagParser& flags) {
   } else if (kind == "text") {
     datagen::TextCorpusOptions options;
     options.seed = seed;
-    if (baskets > 0) {
-      options.num_documents = static_cast<uint32_t>(baskets);
-    }
+    CORRMINE_ASSIGN_OR_RETURN(uint32_t documents,
+                              flags.GetUint<uint32_t>("baskets", 0));
+    if (documents > 0) options.num_documents = documents;
     CORRMINE_ASSIGN_OR_RETURN(auto corpus,
                               datagen::GenerateTextCorpus(options));
     db = std::move(corpus.database);
