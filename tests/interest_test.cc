@@ -94,6 +94,12 @@ TEST(InterestTest, FormatCellPattern) {
   dict.GetOrAdd("two");
   Itemset named{0, 2};
   EXPECT_EQ(FormatCellPattern(named, 0b10, &dict), "{!zero, two}");
+  // Ids past the dictionary fall back to "i<id>", as with no dictionary;
+  // an empty dictionary (integer-id input) names nothing.
+  Itemset beyond{1, 3, 40};
+  EXPECT_EQ(FormatCellPattern(beyond, 0b101, &dict), "{one, !i3, i40}");
+  ItemDictionary empty;
+  EXPECT_EQ(FormatCellPattern(beyond, 0b010, &empty), "{!i1, i3, !i40}");
 }
 
 }  // namespace
