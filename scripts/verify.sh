@@ -5,7 +5,8 @@
 # collapsed-stack validation), the full test suite with the metrics layer
 # compiled out (CORRMINE_METRICS=OFF must stay a working configuration),
 # an AddressSanitizer+UBSan run over the decoders, the suites that feed
-# them untrusted bytes and the miner's subset-lookup suites, and a
+# them untrusted bytes, the miner's subset-lookup suites and the streaming
+# rule writers (unit suites plus the CLI golden), and a
 # ThreadSanitizer run over the concurrency-sensitive suites (the parallel
 # mining engine, its pool, and the count providers). Run from the
 # repository root:
@@ -325,12 +326,17 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # any heap misuse or undefined behavior (an out-of-range shift in a
   # varint decoder, say) fails the test binary outright. miner_test and
   # scheduler_determinism_test cover the miner's subset lookups, which
-  # index stack arrays by contingency-mask bits.
+  # index stack arrays by contingency-mask bits. io_test, interest_test and
+  # cli_mine_golden (which drives an instrumented corrmine_cli) cover the
+  # streaming rule writers and their buffer.
   ASAN_TESTS=(binary_io_test io_test format_detect_test fuzz_model_test
               border_state_test outofcore_test session_test miner_test
-              scheduler_determinism_test)
+              scheduler_determinism_test interest_test cli_mine_golden)
+  # Each test builds a target of its own name, except cli_mine_golden: a
+  # CMake script that drives corrmine_cli.
+  ASAN_TARGETS=("${ASAN_TESTS[@]/#cli_mine_golden/corrmine_cli}")
   cmake -B build-asan -S . -DCORRMINE_SANITIZE=address >/dev/null
-  cmake --build build-asan -j --target "${ASAN_TESTS[@]}" >/dev/null
+  cmake --build build-asan -j --target "${ASAN_TARGETS[@]}" >/dev/null
   (cd build-asan &&
    ctest --output-on-failure \
      -R "^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$")

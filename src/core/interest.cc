@@ -67,15 +67,16 @@ std::string FormatCellPattern(const Itemset& s, uint32_t mask,
   std::string out = "{";
   for (size_t j = 0; j < s.size(); ++j) {
     if (j > 0) out += ", ";
-    if (!((mask >> j) & 1)) out += "!";
-    std::string name = "i" + std::to_string(s.item(j));
-    if (dict != nullptr) {
-      auto named = dict->Name(s.item(j));
-      if (named.ok()) name = *named;
+    if (!((mask >> j) & 1)) out += '!';
+    const ItemId item = s.item(j);
+    if (dict != nullptr && item < dict->size()) {
+      out += dict->names()[item];
+    } else {
+      out += 'i';
+      out += std::to_string(item);
     }
-    out += name;
   }
-  out += "}";
+  out += '}';
   return out;
 }
 

@@ -101,3 +101,18 @@ execute_process(
 if(NOT rc EQUAL 0 OR NOT EXISTS ${WORKDIR}/smoke_repair.txt)
   message(FATAL_ERROR "mine --append --resume-from failed: ${rc}")
 endif()
+
+# A rule table that cannot be written is an error, not a silent exit 0:
+# mine's stdout goes to /dev/full (every write fails with ENOSPC).
+if(EXISTS /dev/full)
+  execute_process(
+    COMMAND ${CLI} mine ${WORKDIR}/smoke.txt --support-count 25
+            --cell-fraction 0.26 --max-level 2
+    RESULT_VARIABLE rc OUTPUT_FILE /dev/full ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "mine > /dev/full should fail")
+  endif()
+  if(NOT err MATCHES "IOError")
+    message(FATAL_ERROR "mine > /dev/full: error is not an IOError: ${err}")
+  endif()
+endif()

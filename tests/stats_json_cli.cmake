@@ -2,7 +2,7 @@
 # mine the same Quest fixture at --threads 1, 2 and 8, and require the
 # "deterministic" line of every stats file to be byte-identical. The
 # "runtime" sections (timings, pool activity) are expected to differ and are
-# not compared.
+# not compared, except for the io.output.bytes counter checked at the end.
 execute_process(
   COMMAND ${CLI} generate quest --baskets 2000 --out ${WORKDIR}/stats_fixture.txt
   RESULT_VARIABLE rc)
@@ -99,6 +99,45 @@ if(METRICS)
     string(FIND "${doc}" "\"${phase}.ns\":{\"count\":1," pos)
     if(pos EQUAL -1)
       message(FATAL_ERROR "stats json lacks ${phase}.ns with count 1:\n${doc}")
+    endif()
+  endforeach()
+endif()
+
+# io.output.bytes counts what `mine` writes: the stdout rule table and level
+# lines plus the --out file. It is a deterministic work counter, so it must
+# not move with --threads, and on the cli_mine_golden configuration it must
+# equal the size of that test's golden files.
+if(METRICS)
+  execute_process(
+    COMMAND ${CLI} generate quest --baskets 2000
+            --out ${WORKDIR}/stats_golden_quest.txt
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "generate failed: ${rc}")
+  endif()
+  file(SIZE ${GOLDEN_DIR}/cli_mine_quest.stdout.txt stdout_size)
+  file(SIZE ${GOLDEN_DIR}/cli_mine_quest.out.txt out_size)
+  math(EXPR golden_bytes "${stdout_size} + ${out_size}")
+  foreach(threads 1 4)
+    execute_process(
+      COMMAND ${CLI} mine ${WORKDIR}/stats_golden_quest.txt
+              --support-count 110 --cell-fraction 0.26 --max-level 3
+              --threads ${threads}
+              --out ${WORKDIR}/stats_golden_t${threads}.out
+              --stats-json ${WORKDIR}/stats_golden_t${threads}.json
+      RESULT_VARIABLE rc OUTPUT_QUIET)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "golden mine --threads ${threads} failed: ${rc}")
+    endif()
+    file(READ ${WORKDIR}/stats_golden_t${threads}.json doc)
+    string(REGEX MATCH "\"io\\.output\\.bytes\":([0-9]+)" found "${doc}")
+    if(NOT found)
+      message(FATAL_ERROR "stats json lacks io.output.bytes:\n${doc}")
+    endif()
+    if(NOT CMAKE_MATCH_1 EQUAL golden_bytes)
+      message(FATAL_ERROR
+              "io.output.bytes at --threads ${threads} is ${CMAKE_MATCH_1}, "
+              "expected ${golden_bytes} (golden stdout + --out)")
     endif()
   endforeach()
 endif()

@@ -240,40 +240,46 @@ StatusOr<MinerOptions> MinerOptionsFromFlags(const FlagParser& flags) {
 }
 
 /// Renders a mining result — the report or the rule table plus per-level
-/// lines — and honors --out, timed as phase "io.output". `dict` may be null
-/// (out-of-core runs have no session to borrow a dictionary from).
+/// lines — and honors --out, timed as phase "io.output" and counted in
+/// bytes (stdout plus the --out file) as "io.output.bytes". `dict` may be
+/// null (out-of-core runs have no session to borrow a dictionary from).
 Status PrintMineResult(const FlagParser& flags, const MiningResult& result,
                        const ItemDictionary* dict) {
-  PhaseScope phase(&MetricsRegistry::Global(), "io.output");
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  PhaseScope phase(&registry, "io.output");
+  uint64_t bytes = 0;
   if (flags.GetBool("report", false)) {
     ReportOptions report_options;
     CORRMINE_ASSIGN_OR_RETURN(report_options.fdr_level,
                               flags.GetDouble("fdr", 0.0));
-    std::cout << RenderReport(result, dict, report_options);
+    const std::string report = RenderReport(result, dict, report_options);
+    std::cout << report;
+    bytes += report.size();
   } else {
-    io::TablePrinter table({"itemset", "chi2", "p-value",
-                            "major dependence", "interest"});
-    for (const CorrelationRule& rule : result.significant) {
-      table.AddRow({rule.itemset.ToString(),
-                    io::FormatDouble(rule.chi2.statistic, 3),
-                    io::FormatDouble(rule.chi2.p_value, 6),
-                    FormatCellPattern(rule.itemset,
-                                      rule.major_dependence.mask, dict),
-                    io::FormatDouble(rule.major_dependence.interest, 3)});
-    }
-    table.Print(std::cout);
+    bytes += io::WriteRuleTable(result, dict, std::cout);
+    std::string levels;
     for (const LevelStats& level : result.levels) {
-      std::cout << "level " << level.level << ": |CAND| "
-                << level.candidates << ", discards " << level.discards
-                << ", |SIG| " << level.significant << ", |NOTSIG| "
-                << level.not_significant << "\n";
+      levels += "level " + std::to_string(level.level) + ": |CAND| " +
+                std::to_string(level.candidates) + ", discards " +
+                std::to_string(level.discards) + ", |SIG| " +
+                std::to_string(level.significant) + ", |NOTSIG| " +
+                std::to_string(level.not_significant) + "\n";
     }
+    std::cout << levels;
+    bytes += levels.size();
+  }
+  std::cout.flush();
+  if (!std::cout) {
+    return Status::IOError("error writing the mined rules to stdout");
   }
   std::string out = flags.GetString("out", "");
   if (!out.empty()) {
-    CORRMINE_RETURN_NOT_OK(io::WriteMiningResult(result, out));
+    uint64_t out_bytes = 0;
+    CORRMINE_RETURN_NOT_OK(io::WriteMiningResult(result, out, &out_bytes));
+    bytes += out_bytes;
     std::cout << "result written to " << out << "\n";
   }
+  registry.GetCounter("io.output.bytes")->Add(bytes);
   return Status::OK();
 }
 
