@@ -1,8 +1,7 @@
-// Ablation for the paper's Section 4 implementation choice: perfect hash
-// tables (FKS static / dynamic) versus std::unordered_map for the NOTSIG
-// and CAND membership tests driving candidate generation.
+// Ablation for the paper's Section 4 implementation choice: a dynamic
+// perfect hash table versus std::unordered_map for the NOTSIG and CAND
+// membership tests driving candidate generation.
 
-#include "common/logging.h"
 #include <unordered_map>
 #include <unordered_set>
 
@@ -11,7 +10,6 @@
 #include "bench_metrics.h"
 
 #include "hash/dynamic_perfect_hash.h"
-#include "hash/fks_perfect_hash.h"
 #include "hash/itemset_set.h"
 #include "hash/universal_hash.h"
 
@@ -25,17 +23,6 @@ std::vector<uint64_t> MakeKeys(size_t count) {
   for (size_t i = 0; i < count; ++i) keys.push_back(rng.Next());
   return keys;
 }
-
-void BM_FksLookupHit(benchmark::State& state) {
-  auto keys = MakeKeys(static_cast<size_t>(state.range(0)));
-  auto table = FksPerfectHash::Build(keys);
-  CORRMINE_CHECK(table.ok());
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table->Find(keys[i++ % keys.size()]));
-  }
-}
-BENCHMARK(BM_FksLookupHit)->Arg(1000)->Arg(100000);
 
 void BM_DynamicPerfectLookupHit(benchmark::State& state) {
   auto keys = MakeKeys(static_cast<size_t>(state.range(0)));

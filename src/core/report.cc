@@ -37,9 +37,18 @@ bool AllPresentCell(const CorrelationRule& rule) {
 
 }  // namespace
 
-std::string RenderReport(const MiningResult& result,
-                         const ItemDictionary* dict,
-                         const ReportOptions& options) {
+Status ValidateReportOptions(const ReportOptions& options) {
+  if (options.fdr_level == 0.0 ||
+      (options.fdr_level > 0.0 && options.fdr_level < 1.0)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("FDR level must be 0 (off) or in (0,1)");
+}
+
+StatusOr<std::string> RenderReport(const MiningResult& result,
+                                   const ItemDictionary* dict,
+                                   const ReportOptions& options) {
+  CORRMINE_RETURN_NOT_OK(ValidateReportOptions(options));
   std::string out;
 
   out += "== Search statistics ==\n";
@@ -68,18 +77,18 @@ std::string RenderReport(const MiningResult& result,
     for (const CorrelationRule* rule : rules) {
       p_values.push_back(rule->chi2.p_value);
     }
-    auto keep = stats::BenjaminiHochberg(p_values, options.fdr_level);
-    if (keep.ok()) {
-      std::vector<const CorrelationRule*> filtered;
-      for (size_t i = 0; i < rules.size(); ++i) {
-        if ((*keep)[i]) {
-          filtered.push_back(rules[i]);
-        } else {
-          ++fdr_removed;
-        }
+    CORRMINE_ASSIGN_OR_RETURN(
+        std::vector<bool> keep,
+        stats::BenjaminiHochberg(p_values, options.fdr_level));
+    std::vector<const CorrelationRule*> filtered;
+    for (size_t i = 0; i < rules.size(); ++i) {
+      if (keep[i]) {
+        filtered.push_back(rules[i]);
+      } else {
+        ++fdr_removed;
       }
-      rules = std::move(filtered);
     }
+    rules = std::move(filtered);
   }
 
   std::sort(rules.begin(), rules.end(),

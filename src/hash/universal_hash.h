@@ -7,8 +7,8 @@ namespace corrmine::hash {
 
 /// A function from the classic universal family
 ///   h_{a,b}(x) = ((a*x + b) mod p) mod m,   p = 2^61 - 1,
-/// the collision-probability guarantee perfect hashing (FKS and its dynamic
-/// variant) builds on. `a` must be nonzero mod p.
+/// the collision-probability guarantee dynamic perfect hashing builds on.
+/// `a` must be nonzero mod p.
 class UniversalHashFunction {
  public:
   static constexpr uint64_t kPrime = (uint64_t{1} << 61) - 1;

@@ -32,14 +32,8 @@ size_t RawPayloadBytes(const CountingColumn::ContainerView& view) {
 
 Status WriteColumnShardFile(const ColumnSource& source,
                             const std::string& path,
-                            const ColumnShardWriteOptions& options,
                             ColumnShardWriteStats* stats) {
-  if (options.format_version != 1 && options.format_version != 2) {
-    return Status::InvalidArgument("unsupported column shard version");
-  }
-  const bool v2 = options.format_version == 2;
-
-  // Pass 1: pick the min-byte encoding per container (v2) and assign
+  // Pass 1: pick the min-byte encoding per container and assign
   // 8-aligned payload offsets (relative to payload_base, so they are known
   // before the directory — whose size sets the base — is built).
   struct Entry {
@@ -64,7 +58,7 @@ Status WriteColumnShardFile(const ColumnSource& source,
       const size_t raw_bytes = RawPayloadBytes(entry.view);
       entry.bytes = raw_bytes;
       raw_bytes_total += raw_bytes;
-      if (v2 && entry.view.kind != CountingColumn::ContainerKind::kDense) {
+      if (entry.view.kind != CountingColumn::ContainerKind::kDense) {
         scratch.clear();
         EncodeU16DeltaVarint(entry.view.kind, entry.view.u16, &scratch);
         if (scratch.size() < raw_bytes) {
@@ -90,7 +84,7 @@ Status WriteColumnShardFile(const ColumnSource& source,
     for (const Entry& entry : column) {
       AppendVarint(&directory, entry.view.key);
       directory.push_back(static_cast<char>(entry.view.kind));
-      if (v2) directory.push_back(static_cast<char>(entry.encoding));
+      directory.push_back(static_cast<char>(entry.encoding));
       AppendVarint(&directory, entry.view.count);
       AppendVarint(&directory, entry.rel_offset);
       AppendVarint(&directory, entry.bytes);
@@ -103,8 +97,7 @@ Status WriteColumnShardFile(const ColumnSource& source,
 
   std::string bytes;
   bytes.reserve(payload_base + payload_bytes);
-  bytes.append(v2 ? kColumnShardMagicV2 : kColumnShardMagic,
-               sizeof(kColumnShardMagic));
+  bytes.append(kColumnShardMagic, sizeof(kColumnShardMagic));
   for (int i = 0; i < 8; ++i) {
     bytes.push_back(static_cast<char>((payload_base >> (8 * i)) & 0xff));
   }
@@ -155,12 +148,9 @@ StatusOr<std::unique_ptr<MappedColumnShard>> MappedColumnShard::Open(
 
   const uint8_t* data = static_cast<const uint8_t*>(map);
   if (len < sizeof(kColumnShardMagic) + sizeof(uint64_t) ||
-      std::memcmp(data, kColumnShardMagic, 3) != 0 ||
-      (data[3] != '1' && data[3] != '2')) {
-    return Status::Corruption("not a CCS column shard: " + path);
+      std::memcmp(data, kColumnShardMagic, sizeof(kColumnShardMagic)) != 0) {
+    return Status::Corruption("not a CCS2 column shard: " + path);
   }
-  const bool v2 = data[3] == '2';
-  shard->format_version_ = v2 ? 2 : 1;
   size_t pos = sizeof(kColumnShardMagic);
   uint64_t payload_base = 0;
   for (int i = 0; i < 8; ++i) {
@@ -193,15 +183,12 @@ StatusOr<std::unique_ptr<MappedColumnShard>> MappedColumnShard::Open(
       if (kind_byte > 2) {
         return Status::Corruption("CCS: unknown container kind");
       }
-      uint8_t encoding = kColumnShardEncodingRaw;
-      if (v2) {
-        if (pos >= payload_base) {
-          return Status::Corruption("CCS: truncated container record");
-        }
-        encoding = data[pos++];
-        if (encoding > kColumnShardEncodingDeltaVarint) {
-          return Status::Corruption("CCS: unknown payload encoding");
-        }
+      if (pos >= payload_base) {
+        return Status::Corruption("CCS: truncated container record");
+      }
+      const uint8_t encoding = data[pos++];
+      if (encoding > kColumnShardEncodingDeltaVarint) {
+        return Status::Corruption("CCS: unknown payload encoding");
       }
       CORRMINE_ASSIGN_OR_RETURN(const uint64_t count,
                                 ReadVarint(directory, &pos));

@@ -15,24 +15,24 @@ namespace corrmine::io {
 
 /// CCS — the column-shard file format (DESIGN.md §12): one ColumnSource
 /// (per-item hybrid counting columns over one row space) serialized
-/// container-at-a-time for mmap-backed lazy loading. The fourth magic
-/// byte is the format version; both are readable by MappedColumnShard:
+/// container-at-a-time for mmap-backed lazy loading. Spill files are read
+/// back only by the out-of-core run that wrote them, so there is one
+/// version; a file with any other magic is rejected at open:
 ///
-///   "CCS1" / "CCS2"              4-byte magic (version in last byte)
+///   "CCS2"                       4-byte magic
 ///   payload_base                 8-byte LE file offset (4096-aligned)
 ///   varint num_rows
 ///   varint num_columns
 ///   per column:  varint num_containers
-///     per container (v1): varint key · 1-byte kind · varint count
+///     per container: varint key · 1-byte kind · 1-byte encoding
+///                    · varint count
 ///                    · varint rel_offset (from payload_base, 8-aligned)
 ///                    · varint payload_bytes
-///     per container (v2): varint key · 1-byte kind · 1-byte encoding
-///                    · varint count · varint rel_offset · varint bytes
 ///   zero padding to payload_base
 ///   payload section              container payloads
 ///
-/// v2 adds a per-container payload encoding, picked by min-byte rule at
-/// write time:
+/// Each container's payload encoding is picked by min-byte rule at write
+/// time:
 ///
 ///   0  raw           u16 LE array offsets / run pairs, u64 dense words
 ///   1  delta-varint  EncodeU16DeltaVarint of the u16 payload (arrays:
@@ -49,22 +49,15 @@ namespace corrmine::io {
 /// payload_base is fixed-width (not varint) so the directory can be
 /// sized before the base is known. Offsets are 8-byte aligned: every raw
 /// payload type (uint16 arrays/runs, uint64 dense words) reads aligned.
-inline constexpr char kColumnShardMagic[4] = {'C', 'C', 'S', '1'};
-inline constexpr char kColumnShardMagicV2[4] = {'C', 'C', 'S', '2'};
+inline constexpr char kColumnShardMagic[4] = {'C', 'C', 'S', '2'};
 
 /// Payload-section alignment (one page), and per-payload alignment.
 inline constexpr size_t kColumnShardPageAlign = 4096;
 inline constexpr size_t kColumnShardPayloadAlign = 8;
 
-/// Per-container payload encodings (v2 directory byte).
+/// Per-container payload encodings (directory byte).
 inline constexpr uint8_t kColumnShardEncodingRaw = 0;
 inline constexpr uint8_t kColumnShardEncodingDeltaVarint = 1;
-
-struct ColumnShardWriteOptions {
-  /// 1 writes the legacy always-raw format; 2 (default) picks the
-  /// min-byte encoding per container.
-  int format_version = 2;
-};
 
 /// Byte accounting of one shard write (feeds column.spill_* gauges).
 struct ColumnShardWriteStats {
@@ -78,10 +71,9 @@ struct ColumnShardWriteStats {
 /// Columns are written in item order, containers in key order.
 Status WriteColumnShardFile(const ColumnSource& source,
                             const std::string& path,
-                            const ColumnShardWriteOptions& options = {},
                             ColumnShardWriteStats* stats = nullptr);
 
-/// A CCS file (v1 or v2) mapped read-only; implements ColumnSource over
+/// A CCS file mapped read-only; implements ColumnSource over
 /// view-backed columns whose raw payloads live in the mapping and whose
 /// delta-varint payloads decode on first access. The mapping (and
 /// therefore every column handed out) lives until destruction; resident
@@ -105,7 +97,6 @@ class MappedColumnShard : public ColumnSource {
   const CountingColumn& column(ItemId item) const override;
 
   size_t file_bytes() const { return map_len_; }
-  int format_version() const { return format_version_; }
 
  private:
   /// One directory record plus its payload location in the mapping.
@@ -133,7 +124,6 @@ class MappedColumnShard : public ColumnSource {
   void* map_ = nullptr;
   size_t map_len_ = 0;
   size_t num_rows_ = 0;
-  int format_version_ = 1;
   std::vector<std::unique_ptr<LazyColumn>> columns_;
   CountingColumn empty_;  // items past the stored range
 };

@@ -72,9 +72,15 @@ std::string TablePrinter::Render() const {
 void TablePrinter::Print(std::ostream& os) const { os << Render(); }
 
 std::string FormatDouble(double value, int precision) {
+  // Large magnitudes print hundreds of integer digits; a stack buffer covers
+  // the usual case, snprintf's return value sizes the rest.
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-  return buf;
+  const int len = std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+  if (len < 0) return std::string();
+  if (static_cast<size_t>(len) < sizeof(buf)) return std::string(buf, len);
+  std::string out(static_cast<size_t>(len), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.*f", precision, value);
+  return out;
 }
 
 std::string FormatPercent(double fraction, int precision) {

@@ -176,10 +176,6 @@ class CountingColumn {
   uint64_t total_count_ = 0;
 };
 
-/// Legacy name: the side-car CompressedBitmap grew into the first-class
-/// column above; existing call sites and tests keep compiling unchanged.
-using CompressedBitmap = CountingColumn;
-
 /// A set of counting columns over one row space — the abstraction the
 /// prefix-blocked column executor and CompressedCountProvider count
 /// against. Implemented by the in-memory CompressedVerticalIndex below and
@@ -197,7 +193,7 @@ class ColumnSource {
   virtual const CountingColumn& column(ItemId item) const = 0;
 };
 
-/// CCS v2 block codec (io/column_store.h): the run-aware compressed
+/// CCS block codec (io/column_store.h): the run-aware compressed
 /// encoding of a u16 container payload. Sorted array offsets become
 /// first-value + delta varints (sorted/clustered corpora have small gaps,
 /// so most entries shrink from 2 bytes to 1); run payloads become

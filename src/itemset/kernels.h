@@ -18,7 +18,7 @@ class VerticalIndex;
 /// SIMD-dispatched counting kernels (DESIGN.md §9).
 ///
 /// Every chi-squared verdict bottoms out in AND+popcount chains over
-/// vertical bitmaps, so the word loops behind Bitmap / CompressedBitmap /
+/// vertical bitmaps, so the word loops behind Bitmap / CountingColumn /
 /// the count providers are routed through one table of function pointers,
 /// selected once per process: the best ISA the CPU supports (AVX-512 with
 /// VPOPCNTDQ > AVX2 > NEON > portable std::popcount), overridable with the

@@ -7,37 +7,8 @@
 #include "common/status_or.h"
 #include "core/chi_squared_miner.h"
 #include "itemset/transaction_database.h"
-#include "mining/apriori.h"
 
 namespace corrmine {
-
-struct PartitionOptions {
-  double min_support_fraction = 0.01;
-  /// Number of horizontal partitions (the original tunes this so one
-  /// partition fits in memory).
-  int num_partitions = 4;
-  /// Stop after this itemset size; 0 = unbounded.
-  int max_level = 0;
-};
-
-struct PartitionStats {
-  /// Union of locally frequent itemsets = global candidates.
-  uint64_t global_candidates = 0;
-  /// Candidates that failed the global count (locally frequent somewhere,
-  /// globally infrequent — the algorithm's only source of wasted work).
-  uint64_t false_candidates = 0;
-};
-
-/// The Partition algorithm of Savasere, Omiecinski and Navathe (VLDB'95,
-/// the paper's reference [27]): split the database into `num_partitions`
-/// chunks, mine each chunk independently at the same *fractional*
-/// threshold, and union the locally frequent itemsets. Any globally
-/// frequent itemset is frequent in at least one partition (pigeonhole on
-/// fractions), so the union is a superset of the answer; a second full
-/// pass counts the union exactly. Two database passes total.
-StatusOr<std::vector<FrequentItemset>> MineFrequentItemsetsPartition(
-    const TransactionDatabase& db, const PartitionOptions& options = {},
-    PartitionStats* stats = nullptr);
 
 /// Options of the out-of-core correlation miner (DESIGN.md §12).
 struct OutOfCoreMinerOptions {
@@ -77,10 +48,10 @@ struct OutOfCoreStats {
   ItemId num_items = 0;
   /// RAM-sized CCS partitions spilled (and mined) in pass one.
   uint64_t partitions = 0;
-  /// Raw (encoding-0 equivalent) payload bytes across partitions — what a
-  /// v1 spill of the same columns would cost.
+  /// Raw (encoding-0 equivalent) payload bytes across partitions — what an
+  /// uncompressed spill of the same columns would cost.
   uint64_t spilled_payload_bytes = 0;
-  /// Encoded payload bytes actually written (v2 min-byte rule); the
+  /// Encoded payload bytes actually written (min-byte rule); the
   /// column.spill_ratio_x1000 gauge is encoded/raw.
   uint64_t spilled_encoded_bytes = 0;
   /// Concurrent partitions the admission controller allowed in pass 1/2
@@ -103,7 +74,7 @@ struct OutOfCoreStats {
 ///
 ///   spill   — stream `path` once, building hybrid counting columns for
 ///             RAM-sized horizontal partitions and writing each as an
-///             mmap-backed CCS v2 shard file;
+///             mmap-backed CCS shard file;
 ///   pass 1  — pipelined with the spill: as each shard file closes, its
 ///             partition mine (at proportionally scaled support,
 ///             recording every count query the level-wise walk issues) is

@@ -75,6 +75,35 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "rules --shards should fail")
 endif()
 
+# --fdr is checked with the other mining flags: a level outside {0} ∪ (0,1)
+# exits 1 naming --fdr before anything is mined or printed, in memory and
+# out of core; a valid level filters the report.
+foreach(fdr 2 1 -1 nan)
+  foreach(mode "" "--out-of-core")
+    execute_process(
+      COMMAND ${CLI} mine ${WORKDIR}/smoke.txt --support-count 25
+              --cell-fraction 0.26 --max-level 2 --report --fdr ${fdr} ${mode}
+      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1)
+      message(FATAL_ERROR "mine --fdr ${fdr} ${mode} should exit 1: ${rc}")
+    endif()
+    if(NOT err MATCHES "InvalidArgument" OR NOT err MATCHES "--fdr")
+      message(FATAL_ERROR "mine --fdr ${fdr} ${mode}: error does not name "
+                          "--fdr: ${err}")
+    endif()
+    if(NOT out STREQUAL "")
+      message(FATAL_ERROR "mine --fdr ${fdr} ${mode} printed output: ${out}")
+    endif()
+  endforeach()
+endforeach()
+execute_process(
+  COMMAND ${CLI} mine ${WORKDIR}/smoke.txt --support-count 25
+          --cell-fraction 0.26 --max-level 2 --report --fdr 0.05
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "after FDR 0.05 filtering")
+  message(FATAL_ERROR "mine --report --fdr 0.05 failed: ${rc} ${out}")
+endif()
+
 # The flags the repair benchmark passes stay accepted: snapshot with
 # --border-out, then resume with --append/--resume-from/--trace-out/--out.
 execute_process(

@@ -1,6 +1,6 @@
 // Differential suite for the hybrid counting-column storage layer: random
 // container mixes against std::set reference loops, promotion/demotion
-// boundaries, run containers, append-vs-bulk equivalence, the CCS1 shard
+// boundaries, run containers, append-vs-bulk equivalence, the CCS shard
 // file round trip, and the blocked columns executor against naive counting.
 
 #include <gtest/gtest.h>
@@ -312,46 +312,54 @@ TEST(CountingColumnTest, U16DeltaVarintRejectsCorruption) {
           .ok());
 }
 
-TEST(CountingColumnTest, ColumnShardV1BackwardCompat) {
+TEST(CountingColumnTest, ColumnShardCompressesAndRoundTrips) {
   auto db_or = datagen::GenerateQuestData({.num_transactions = 5000,
                                           .num_items = 150,
                                           .avg_transaction_size = 14.0,
                                           .seed = 61});
   ASSERT_TRUE(db_or.ok());
   CompressedVerticalIndex index(*db_or);
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string v1_path = (dir / "corrmine_ccs_v1.ccs").string();
-  const std::string v2_path = (dir / "corrmine_ccs_v2.ccs").string();
-  io::ColumnShardWriteStats v1_stats, v2_stats;
-  io::ColumnShardWriteOptions v1_opts;
-  v1_opts.format_version = 1;
-  ASSERT_TRUE(
-      io::WriteColumnShardFile(index, v1_path, v1_opts, &v1_stats).ok());
-  ASSERT_TRUE(io::WriteColumnShardFile(index, v2_path, {}, &v2_stats).ok());
-  // v1 is the raw layout: payload bytes == raw bytes. v2 must not lose to
-  // it (the per-block min-byte rule keeps raw when varint would grow).
-  EXPECT_EQ(v1_stats.payload_bytes, v1_stats.raw_payload_bytes);
-  EXPECT_EQ(v2_stats.raw_payload_bytes, v1_stats.raw_payload_bytes);
-  EXPECT_LE(v2_stats.payload_bytes, v1_stats.payload_bytes);
-  // Quest rows are sorted and clustered — compression must actually bite,
-  // not just tie.
-  EXPECT_LT(v2_stats.payload_bytes, v1_stats.raw_payload_bytes);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "corrmine_ccs_roundtrip.ccs")
+          .string();
+  io::ColumnShardWriteStats stats;
+  ASSERT_TRUE(io::WriteColumnShardFile(index, path, &stats).ok());
+  // Quest rows are sorted and clustered, so the per-block min-byte rule
+  // must make the file smaller than its all-raw layout, not just tie.
+  EXPECT_LT(stats.payload_bytes, stats.raw_payload_bytes);
 
-  auto v1_or = io::MappedColumnShard::Open(v1_path);
-  auto v2_or = io::MappedColumnShard::Open(v2_path);
-  ASSERT_TRUE(v1_or.ok()) << v1_or.status().ToString();
-  ASSERT_TRUE(v2_or.ok()) << v2_or.status().ToString();
-  EXPECT_EQ((*v1_or)->format_version(), 1);
-  EXPECT_EQ((*v2_or)->format_version(), 2);
-  ASSERT_EQ((*v1_or)->num_columns(), index.num_columns());
-  ASSERT_EQ((*v2_or)->num_columns(), index.num_columns());
+  auto shard_or = io::MappedColumnShard::Open(path);
+  ASSERT_TRUE(shard_or.ok()) << shard_or.status().ToString();
+  ASSERT_EQ((*shard_or)->num_columns(), index.num_columns());
   for (ItemId item = 0; item < index.num_columns(); ++item) {
-    const std::vector<uint32_t> expected = index.column(item).ToRows();
-    EXPECT_EQ((*v1_or)->column(item).ToRows(), expected) << "item " << item;
-    EXPECT_EQ((*v2_or)->column(item).ToRows(), expected) << "item " << item;
+    EXPECT_EQ((*shard_or)->column(item).ToRows(), index.column(item).ToRows())
+        << "item " << item;
   }
-  std::filesystem::remove(v1_path);
-  std::filesystem::remove(v2_path);
+  std::filesystem::remove(path);
+}
+
+TEST(CountingColumnTest, ShardFileRejectsRetiredCcs1Magic) {
+  // A well-formed file whose magic says CCS1 (the retired always-raw
+  // layout, whose directory lacks the encoding byte) must be refused with
+  // a Status, not parsed as CCS2.
+  auto db = testing::RandomIndependentDatabase(20, 300, 5);
+  CompressedVerticalIndex index(db);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "corrmine_ccs1_magic.ccs")
+          .string();
+  ASSERT_TRUE(io::WriteColumnShardFile(index, path).ok());
+  ASSERT_TRUE(io::MappedColumnShard::Open(path).ok());
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 3, SEEK_SET), 0);
+    ASSERT_EQ(std::fputc('1', f), '1');
+    std::fclose(f);
+  }
+  auto shard = io::MappedColumnShard::Open(path);
+  ASSERT_FALSE(shard.ok());
+  EXPECT_TRUE(shard.status().IsCorruption()) << shard.status().ToString();
+  std::filesystem::remove(path);
 }
 
 TEST(CountingColumnTest, ShardFileRejectsCorruption) {

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/border.h"
 #include "core/chi_squared_miner.h"
 #include "datagen/census_generator.h"
 #include "datagen/quest_generator.h"
@@ -135,29 +134,6 @@ TEST(QuestIntegration, PruningShapeMatchesTable5) {
   // Discards stay a small fraction of candidates at level 2 (Table 5:
   // 323 of 8019).
   EXPECT_LT(level2.discards, level2.candidates / 10);
-}
-
-TEST(QuestIntegration, CorrelationBorderCoversSupersets) {
-  datagen::QuestOptions quest;
-  quest.num_transactions = 5000;
-  quest.num_items = 100;
-  quest.avg_transaction_size = 10.0;
-  quest.num_patterns = 100;
-  auto db = datagen::GenerateQuestData(quest);
-  ASSERT_TRUE(db.ok());
-  BitmapCountProvider provider(*db);
-  MinerOptions miner;
-  miner.support.min_count = 50;
-  miner.support.cell_fraction = 0.25 + 1e-9;
-  auto result = MineCorrelations(provider, db->num_items(), miner);
-  ASSERT_TRUE(result.ok());
-  std::vector<Itemset> sets;
-  for (const auto& rule : result->significant) sets.push_back(rule.itemset);
-  CorrelationBorder border(std::move(sets));
-  EXPECT_EQ(border.size(), result->significant.size());
-  for (const auto& rule : result->significant) {
-    EXPECT_TRUE(border.IsAboveBorder(rule.itemset));
-  }
 }
 
 }  // namespace

@@ -111,9 +111,16 @@ TEST(TablePrinterTest, FormatHelpers) {
   EXPECT_EQ(FormatPercent(1.0, 0), "100");
 }
 
-// FormatDouble is printf("%.*f") into a 64-byte buffer: non-finite values
-// print as glibc spells them, and a value whose fixed rendering needs more
-// than 63 characters is cut at 63.
+// The fixed rendering of 1e300 at precision 3: 305 characters.
+const char kHuge1e300[] =
+    "100000000000000005250476025520442024870446858110815915491585411551180"
+    "245798890819578637137508044786404370444383288387817694252323536043057"
+    "564479218478670698284838720092657580373783023379478809005936895323497"
+    "079994508111903896764088007465274278014249457925878882005684283811566"
+    "9472196386865459400540160.000";
+
+// FormatDouble is printf("%.*f"): non-finite values print as glibc spells
+// them, and a value whose fixed rendering is long prints in full.
 TEST(TablePrinterTest, FormatDoubleSpecialValues) {
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -123,16 +130,20 @@ TEST(TablePrinterTest, FormatDoubleSpecialValues) {
   EXPECT_EQ(FormatDouble(std::copysign(nan, -1.0), 3), "-nan");
   EXPECT_EQ(FormatDouble(-0.0, 3), "-0.000");
   const std::string huge = FormatDouble(1e300, 3);
-  EXPECT_EQ(huge.size(), 63u);
-  EXPECT_EQ(huge.rfind("10000000000000000525047602552044202487044685811", 0),
-            0u);
+  EXPECT_EQ(huge.size(), 305u);
+  EXPECT_EQ(huge, kHuge1e300);
+  // The longest "%.6f" any double has.
+  const std::string lowest =
+      FormatDouble(std::numeric_limits<double>::lowest(), 6);
+  EXPECT_EQ(lowest.size(), 317u);
+  EXPECT_EQ(lowest.rfind("-17976931348623157", 0), 0u);
+  EXPECT_EQ(lowest.substr(lowest.size() - 7), ".000000");
 }
 
 // --- The streaming rule writers (io/result_io.h) ---
 
 // `mine`'s rule table as TablePrinter renders it: the reference
-// WriteRuleTable must match byte for byte wherever FormatDouble prints a
-// value in full.
+// WriteRuleTable must match byte for byte.
 std::string ReferenceRuleTable(const MiningResult& result,
                                const ItemDictionary* dict) {
   TablePrinter table(
@@ -217,21 +228,17 @@ TEST(RuleTableTest, SpecialValuesMatchFormatDouble) {
   }
 }
 
-// FormatDouble cuts a rendering at 63 characters; the writer prints every
-// digit, up to the longest "%.6f" any double has (-DBL_MAX: 317 chars).
+// The writer prints every digit, up to the longest "%.6f" any double has
+// (-DBL_MAX: 317 chars).
 TEST(RuleTableTest, HugeValuesPrintInFull) {
-  const std::string huge =
-      "100000000000000005250476025520442024870446858110815915491585411551180"
-      "245798890819578637137508044786404370444383288387817694252323536043057"
-      "564479218478670698284838720092657580373783023379478809005936895323497"
-      "079994508111903896764088007465274278014249457925878882005684283811566"
-      "9472196386865459400540160.000";
+  const std::string huge = kHuge1e300;
   ASSERT_EQ(huge.size(), 305u);
   MiningResult result;
   result.significant.push_back(MakeRule({1, 2}, 1e300, 0.5, 0b11, 2.0));
   EXPECT_NE(RuleTable(result, nullptr)
                 .find("{1, 2}   " + huge + "  0.500000  {i1, i2}"),
             std::string::npos);
+  EXPECT_EQ(RuleTable(result, nullptr), ReferenceRuleTable(result, nullptr));
 
   std::vector<char> longest(512);
   const double lowest = std::numeric_limits<double>::lowest();
@@ -241,6 +248,7 @@ TEST(RuleTableTest, HugeValuesPrintInFull) {
   EXPECT_NE(RuleTable(result, nullptr)
                 .find("  " + std::string(longest.data()) + "  {i1, i2}"),
             std::string::npos);
+  EXPECT_EQ(RuleTable(result, nullptr), ReferenceRuleTable(result, nullptr));
 }
 
 // A name longer than the writer's 64 KiB buffer is written straight

@@ -1,6 +1,8 @@
 // Tests for multiple-testing corrections, the correlated-fraction sampler
 // and the report renderer.
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/chi_squared_test.h"
@@ -164,7 +166,9 @@ TEST(ReportTest, ContainsSectionsAndNames) {
   miner.keep_frontier = true;
   auto result = MineCorrelations(provider, db.num_items(), miner);
   ASSERT_TRUE(result.ok());
-  std::string report = RenderReport(*result, &db.dictionary());
+  auto rendered = RenderReport(*result, &db.dictionary());
+  ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+  const std::string& report = *rendered;
   EXPECT_NE(report.find("Search statistics"), std::string::npos);
   EXPECT_NE(report.find("Strongest correlations"), std::string::npos);
   EXPECT_NE(report.find("alpha + beta"), std::string::npos);
@@ -181,14 +185,40 @@ TEST(ReportTest, FdrFilterReducesFindings) {
   ASSERT_TRUE(result.ok());
   ReportOptions strict;
   strict.fdr_level = 1e-6;
-  std::string filtered = RenderReport(*result, nullptr, strict);
-  EXPECT_NE(filtered.find("FDR"), std::string::npos);
+  auto filtered = RenderReport(*result, nullptr, strict);
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_NE(filtered->find("FDR"), std::string::npos);
+}
+
+TEST(ReportTest, InvalidFdrLevelIsAnError) {
+  auto db = testing::RandomCorrelatedDatabase(8, 300, 0.5, 11);
+  BitmapCountProvider provider(db);
+  MinerOptions miner;
+  miner.support.min_count = 3;
+  miner.support.cell_fraction = 0.26;
+  auto result = MineCorrelations(provider, db.num_items(), miner);
+  ASSERT_TRUE(result.ok());
+  ASSERT_FALSE(result->significant.empty());
+  MiningResult empty;
+  for (double level : {1.0, 2.0, -1.0, std::nan("")}) {
+    ReportOptions options;
+    options.fdr_level = level;
+    EXPECT_TRUE(RenderReport(*result, nullptr, options)
+                    .status()
+                    .IsInvalidArgument())
+        << level;
+    // Rejected even when there is nothing to filter.
+    EXPECT_TRUE(
+        RenderReport(empty, nullptr, options).status().IsInvalidArgument())
+        << level;
+  }
 }
 
 TEST(ReportTest, EmptyResultRendersCleanly) {
   MiningResult empty;
-  std::string report = RenderReport(empty, nullptr);
-  EXPECT_NE(report.find("0 findings"), std::string::npos);
+  auto report = RenderReport(empty, nullptr);
+  ASSERT_TRUE(report.ok());
+  EXPECT_NE(report->find("0 findings"), std::string::npos);
 }
 
 }  // namespace

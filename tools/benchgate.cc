@@ -106,10 +106,10 @@ double RequiredRepairSpeedup(int usable_cores) {
 /// enforced at >= 4 cores.
 constexpr double kRequiredPass1Speedup = 1.5;
 
-/// Ceiling on the v2 spill compression ratio (encoded / raw payload
+/// Ceiling on the spill compression ratio (encoded / raw payload
 /// bytes). Core-independent: the delta-varint/run-length min-byte rule is
 /// a property of the data, not the machine, and the bench corpus (sorted
-/// quest rows) must compress to at most 0.7x of a v1 raw spill.
+/// quest rows) must compress to at most 0.7x of an all-raw spill.
 constexpr double kRequiredSpillRatio = 0.7;
 
 double GetNumber(const io::JsonValue& obj, const char* key) {
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
     overhang.actual = run.dataset_bytes / run.budget_bytes;
     overhang.pass = overhang.actual >= overhang.required;
     gates.push_back(overhang);
-    // Gate 6: the v2 spill must beat a raw v1 spill by >= 30% on the
+    // Gate 6: the spill must beat an all-raw spill by >= 30% on the
     // bench corpus. Core-independent — compression is about the data.
     if (run.spilled_payload_bytes > 0.0) {
       Gate ratio;

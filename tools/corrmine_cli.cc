@@ -239,20 +239,33 @@ StatusOr<MinerOptions> MinerOptionsFromFlags(const FlagParser& flags) {
   return options;
 }
 
+/// --report's knobs, read with the mining flags so a bad --fdr fails before
+/// any mining: 0 (the default) turns the filter off, otherwise it must lie
+/// in (0,1).
+StatusOr<ReportOptions> ReportOptionsFromFlags(const FlagParser& flags) {
+  ReportOptions options;
+  CORRMINE_ASSIGN_OR_RETURN(options.fdr_level, flags.GetDouble("fdr", 0.0));
+  const Status valid = ValidateReportOptions(options);
+  if (!valid.ok()) {
+    return Status::InvalidArgument("--fdr " + flags.GetString("fdr", "") +
+                                   ": " + valid.message());
+  }
+  return options;
+}
+
 /// Renders a mining result — the report or the rule table plus per-level
 /// lines — and honors --out, timed as phase "io.output" and counted in
 /// bytes (stdout plus the --out file) as "io.output.bytes". `dict` may be
 /// null (out-of-core runs have no session to borrow a dictionary from).
-Status PrintMineResult(const FlagParser& flags, const MiningResult& result,
-                       const ItemDictionary* dict) {
+Status PrintMineResult(const FlagParser& flags,
+                       const ReportOptions& report_options,
+                       const MiningResult& result, const ItemDictionary* dict) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   PhaseScope phase(&registry, "io.output");
   uint64_t bytes = 0;
   if (flags.GetBool("report", false)) {
-    ReportOptions report_options;
-    CORRMINE_ASSIGN_OR_RETURN(report_options.fdr_level,
-                              flags.GetDouble("fdr", 0.0));
-    const std::string report = RenderReport(result, dict, report_options);
+    CORRMINE_ASSIGN_OR_RETURN(const std::string report,
+                              RenderReport(result, dict, report_options));
     std::cout << report;
     bytes += report.size();
   } else {
@@ -364,7 +377,7 @@ class ProfileOutGuard {
 };
 
 /// The --out-of-core mine path: never loads the dataset; streams it into
-/// CCS1 spill partitions under the --memory-budget and runs the two-pass
+/// CCS spill partitions under the --memory-budget and runs the two-pass
 /// partition miner (mining/partition.h). Output is byte-identical to the
 /// in-memory mine of the same file with the same mining flags.
 Status RunMineOutOfCore(const FlagParser& flags) {
@@ -384,6 +397,8 @@ Status RunMineOutOfCore(const FlagParser& flags) {
   }
   OutOfCoreMinerOptions options;
   CORRMINE_ASSIGN_OR_RETURN(options.miner, MinerOptionsFromFlags(flags));
+  CORRMINE_ASSIGN_OR_RETURN(const ReportOptions report_options,
+                            ReportOptionsFromFlags(flags));
   CORRMINE_ASSIGN_OR_RETURN(options.miner.num_threads,
                             flags.GetUint<int>("threads", 1));
   CORRMINE_ASSIGN_OR_RETURN(
@@ -409,7 +424,8 @@ Status RunMineOutOfCore(const FlagParser& flags) {
             << stats.memo_misses << " memo misses, spill "
             << stats.spilled_encoded_bytes << "/"
             << stats.spilled_payload_bytes << " bytes\n";
-  CORRMINE_RETURN_NOT_OK(PrintMineResult(flags, result, nullptr));
+  CORRMINE_RETURN_NOT_OK(
+      PrintMineResult(flags, report_options, result, nullptr));
   return EmitMineStats(flags, result, MetricsRegistry::Global());
 }
 
@@ -425,15 +441,16 @@ Status RunMine(const FlagParser& flags) {
                                 flags.GetBool("pmu", false));
   CORRMINE_ASSIGN_OR_RETURN(SessionOptions session_options,
                             SessionOptionsFromFlags(flags));
+  CORRMINE_ASSIGN_OR_RETURN(MinerOptions options,
+                            MinerOptionsFromFlags(flags));
+  CORRMINE_ASSIGN_OR_RETURN(const ReportOptions report_options,
+                            ReportOptionsFromFlags(flags));
   CORRMINE_ASSIGN_OR_RETURN(
       MiningSession session,
       MiningSession::Open(flags.positional()[1], session_options));
   if (session.num_baskets() == 0) {
     return Status::InvalidArgument("no baskets in input");
   }
-
-  CORRMINE_ASSIGN_OR_RETURN(MinerOptions options,
-                            MinerOptionsFromFlags(flags));
 
   const std::string resume_path = flags.GetString("resume-from", "");
   const std::string append_path = flags.GetString("append", "");
@@ -509,8 +526,8 @@ Status RunMine(const FlagParser& flags) {
     return Status::InvalidArgument("unknown --algo: " + algo);
   }
 
-  CORRMINE_RETURN_NOT_OK(
-      PrintMineResult(flags, result, &session.dictionary()));
+  CORRMINE_RETURN_NOT_OK(PrintMineResult(flags, report_options, result,
+                                         &session.dictionary()));
   if (!border_out.empty()) {
     CORRMINE_RETURN_NOT_OK(SaveBorderState(*state, border_out));
     std::cout << "border snapshot written to " << border_out << " ("
