@@ -308,16 +308,18 @@ fi
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "== TSan: parallel engine suites =="
+  # binary_io_test, io_test and vertical_index_test cover the morsel-parallel
+  # CMB1 load and the row-block-parallel index build.
   cmake -B build-tsan -S . -DCORRMINE_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j \
     --target thread_pool_test miner_test session_test \
     metrics_test trace_test profiler_test kernel_differential_test \
     scheduler_determinism_test incremental_differential_test \
     border_state_test differential_miners_test counting_column_test \
-    outofcore_test >/dev/null
+    outofcore_test binary_io_test io_test vertical_index_test >/dev/null
   (cd build-tsan &&
    ctest --output-on-failure \
-     -R '^(thread_pool_test|miner_test|session_test|metrics_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test)$')
+     -R '^(thread_pool_test|miner_test|session_test|metrics_test|trace_test|profiler_test|kernel_differential_test|scheduler_determinism_test|incremental_differential_test|border_state_test|differential_miners_test|counting_column_test|outofcore_test|binary_io_test|io_test|vertical_index_test)$')
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
@@ -328,10 +330,12 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # scheduler_determinism_test cover the miner's subset lookups, which
   # index stack arrays by contingency-mask bits. io_test, interest_test and
   # cli_mine_golden (which drives an instrumented corrmine_cli) cover the
-  # streaming rule writers and their buffer.
+  # streaming rule writers and their buffer. itemset_test and
+  # vertical_index_test cover the CSR row store and the index build.
   ASAN_TESTS=(binary_io_test io_test format_detect_test fuzz_model_test
               border_state_test outofcore_test session_test miner_test
-              scheduler_determinism_test interest_test cli_mine_golden)
+              scheduler_determinism_test interest_test vertical_index_test
+              itemset_test cli_mine_golden)
   # Each test builds a target of its own name, except cli_mine_golden: a
   # CMake script that drives corrmine_cli.
   ASAN_TARGETS=("${ASAN_TESTS[@]/#cli_mine_golden/corrmine_cli}")

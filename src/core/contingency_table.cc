@@ -129,7 +129,7 @@ StatusOr<SparseContingencyTable> SparseContingencyTable::Build(
   std::unordered_map<uint32_t, uint64_t> pattern_counts;
   for (size_t row = 0; row < db.num_baskets(); ++row) {
     // Merge the sorted basket against the sorted itemset to form the mask.
-    const std::vector<ItemId>& basket = db.basket(row);
+    const std::span<const ItemId> basket = db.basket(row);
     uint32_t mask = 0;
     size_t bi = 0;
     for (int j = 0; j < k; ++j) {

@@ -6,7 +6,6 @@
 #include "common/phase_scope.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "io/binary_io.h"
 #include "io/transaction_io.h"
 
 namespace corrmine {
@@ -16,9 +15,11 @@ MiningSession& MiningSession::operator=(MiningSession&&) noexcept = default;
 MiningSession::~MiningSession() = default;
 
 MiningSession::MiningSession(TransactionDatabase db,
-                             const SessionOptions& options)
+                             const SessionOptions& options,
+                             std::unique_ptr<ThreadPool> pool)
     : db_(std::make_unique<TransactionDatabase>(std::move(db))),
       provider_kind_(options.provider),
+      pool_(std::move(pool)),
       threads_(ThreadPool::ResolveThreadCount(options.num_threads)),
       metrics_(options.metrics) {
   {
@@ -26,7 +27,8 @@ MiningSession::MiningSession(TransactionDatabase db,
                      static_cast<int64_t>(db_->num_baskets()));
     switch (provider_kind_) {
       case SessionProvider::kBitmap:
-        bitmap_provider_ = std::make_unique<BitmapCountProvider>(*db_);
+        bitmap_provider_ =
+            std::make_unique<BitmapCountProvider>(*db_, pool_.get());
         provider_ = bitmap_provider_.get();
         break;
       case SessionProvider::kCompressed:
@@ -40,34 +42,39 @@ MiningSession::MiningSession(TransactionDatabase db,
         break;
     }
   }
-  if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   metrics().GetGauge("mem.peak_rss_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
 }
 
+StatusOr<std::unique_ptr<ThreadPool>> MiningSession::MakePool(
+    const SessionOptions& options) {
+  if (options.num_threads < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0");
+  }
+  const int threads = ThreadPool::ResolveThreadCount(options.num_threads);
+  if (threads == 1) return std::unique_ptr<ThreadPool>();
+  return std::make_unique<ThreadPool>(threads - 1);
+}
+
 StatusOr<MiningSession> MiningSession::Open(const std::string& path,
                                             const SessionOptions& options) {
-  if (options.named_items) {
-    TransactionDatabase db(1);
-    {
-      PhaseScope phase(&MetricsRegistry::Global(), "io.load");
-      CORRMINE_ASSIGN_OR_RETURN(std::string text, io::ReadFileToString(path));
-      CORRMINE_ASSIGN_OR_RETURN(db, io::ParseNamedTransactions(text));
-    }
-    return FromDatabase(std::move(db), options);
-  }
+  // The pool exists before the file is read: the load and the index build
+  // both run on it.
+  CORRMINE_ASSIGN_OR_RETURN(std::unique_ptr<ThreadPool> pool,
+                            MakePool(options));
   CORRMINE_ASSIGN_OR_RETURN(
       TransactionDatabase db,
-      io::LoadTransactionFile(path, options.num_items_hint));
-  return FromDatabase(std::move(db), options);
+      options.named_items
+          ? io::LoadNamedTransactionFile(path)
+          : io::LoadTransactionFile(path, options.num_items_hint, pool.get()));
+  return MiningSession(std::move(db), options, std::move(pool));
 }
 
 StatusOr<MiningSession> MiningSession::FromDatabase(
     TransactionDatabase db, const SessionOptions& options) {
-  if (options.num_threads < 0) {
-    return Status::InvalidArgument("num_threads must be >= 0");
-  }
-  return MiningSession(std::move(db), options);
+  CORRMINE_ASSIGN_OR_RETURN(std::unique_ptr<ThreadPool> pool,
+                            MakePool(options));
+  return MiningSession(std::move(db), options, std::move(pool));
 }
 
 MetricsRegistry& MiningSession::metrics() const {
@@ -80,6 +87,8 @@ void MiningSession::PublishMemoryGauges() const {
   MetricsRegistry& registry = metrics();
   registry.GetGauge("mem.peak_rss_bytes")
       ->Set(static_cast<int64_t>(PeakRssBytes()));
+  registry.GetGauge("mem.rows_bytes")
+      ->Set(static_cast<int64_t>(db_->RowStoreBytes()));
   if (bitmap_provider_ != nullptr) {
     registry.GetGauge("mem.index_bytes")
         ->Set(static_cast<int64_t>(bitmap_provider_->IndexMemoryBytes()));

@@ -68,7 +68,8 @@ struct SessionOptions {
 class MiningSession {
  public:
   /// Loads `path` (auto-detected CMB1 binary or text, io/format_detect.h).
-  /// Named-item text inputs are parsed through the dictionary.
+  /// Named-item text inputs are parsed through the dictionary. The session's
+  /// pool is created first and decodes CMB1 files in parallel.
   static StatusOr<MiningSession> Open(const std::string& path,
                                       const SessionOptions& options = {});
 
@@ -122,10 +123,16 @@ class MiningSession {
   const ItemDictionary& dictionary() const { return db_->dictionary(); }
 
  private:
-  MiningSession(TransactionDatabase db, const SessionOptions& options);
+  MiningSession(TransactionDatabase db, const SessionOptions& options,
+                std::unique_ptr<ThreadPool> pool);
 
-  /// Refreshes the "mem.*" gauges (peak RSS, index bytes) in the session's
-  /// registry; called after every Mine* run.
+  /// The pool for `options.num_threads` (none when sequential); errors on a
+  /// negative count.
+  static StatusOr<std::unique_ptr<ThreadPool>> MakePool(
+      const SessionOptions& options);
+
+  /// Refreshes the "mem.*" gauges (peak RSS, row store and index bytes) in
+  /// the session's registry; called after every Mine* run.
   void PublishMemoryGauges() const;
 
   // Heap-held so the row store never moves: the scan provider reads it

@@ -11,6 +11,10 @@
 #include "common/varint.h"
 #include "itemset/transaction_database.h"
 
+namespace corrmine {
+class ThreadPool;
+}  // namespace corrmine
+
 namespace corrmine::io {
 
 /// Compact binary basket format ("CMB1"): a fixed header followed by one
@@ -33,11 +37,14 @@ Status WriteBinaryTransactionFile(const TransactionDatabase& db,
 /// In-memory encoder (exposed for tests and tooling).
 std::string EncodeBinaryTransactions(const TransactionDatabase& db);
 
-/// The one CMB1 decoder. Reads `in` from its current position to EOF as one
-/// or more back-to-back CMB1 segments (a chunked file, io/chunked_io.h),
-/// through a 64 KiB read window. `on_segment` (nullable) fires at each
-/// segment header, before its baskets, with the segment's byte offset from
-/// the start position, its item space and its basket count. `sink`
+/// The streaming CMB1 decoder: the out-of-core spill pass and the chunk
+/// walker read through it, and it shares its segment and record decoding
+/// with DecodeBinaryRows below. Reads `in` from its current position to EOF
+/// as one or more back-to-back CMB1 segments (a chunked file,
+/// io/chunked_io.h), through a 64 KiB read window. `on_segment` (nullable)
+/// fires at each segment header, before its baskets, with the segment's
+/// byte offset from the start position, its item space and its basket
+/// count. `sink`
 /// (nullable: validate only) gets every basket in file order; its first
 /// non-OK status aborts the decode. On success `*num_items` is the maximum
 /// of the segment item spaces.
@@ -55,6 +62,19 @@ Status DecodeBinaryTransactionStream(
                                uint64_t num_baskets)>& on_segment,
     const std::function<Status(std::vector<ItemId>)>& sink,
     uint64_t* bytes_consumed = nullptr);
+
+/// Decodes CMB1 `bytes` (one or more segments) straight into the CSR row
+/// store. A serial scan walks the segment headers and basket sizes, skipping
+/// ids, and cuts the baskets into fixed-size morsels with their exact row
+/// and id offsets; the morsels then decode on `pool` (nullable: inline)
+/// into disjoint slices of the row store. Every check of
+/// DecodeBinaryTransactionStream runs in the morsels, and a corrupt input
+/// fails with that decoder's Status: the first corruption in file order.
+/// The row store is sized from the scanned totals, never from a claimed
+/// count, so it is bounded by the input size. The item space is the maximum
+/// segment header.
+StatusOr<TransactionDatabase> DecodeBinaryRows(std::string_view bytes,
+                                               ThreadPool* pool);
 
 /// Whole-file byte helpers shared by the binary codecs.
 StatusOr<std::string> ReadFileToString(const std::string& path);

@@ -1,6 +1,12 @@
 #include "io/transaction_io.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -40,38 +46,95 @@ Status StreamText(std::istream& in, ItemId* num_items, const BasketSink& sink,
   return Status::OK();
 }
 
-/// Sniffs `path` and streams it through the decoder for its format.
-Status StreamFile(const std::string& path, TransactionFileFormat* format,
-                  ItemId* num_items, const BasketSink& sink,
-                  uint64_t* bytes_consumed) {
-  CORRMINE_ASSIGN_OR_RETURN(*format, DetectTransactionFileFormat(path));
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open " + path);
-  }
-  return *format == TransactionFileFormat::kBinary
-             ? DecodeBinaryTransactionStream(in, num_items, nullptr, sink,
-                                             bytes_consumed)
-             : StreamText(in, num_items, sink, bytes_consumed);
-}
+/// Text rows staged in CSR form until the stream ends and the item space
+/// is known.
+struct StagedRows {
+  RowOffsets offsets{0};
+  RowIds ids;
 
-using Rows = std::vector<std::vector<ItemId>>;
+  void Add(std::vector<ItemId> basket) {
+    std::sort(basket.begin(), basket.end());
+    basket.erase(std::unique(basket.begin(), basket.end()), basket.end());
+    ids.insert(ids.end(), basket.begin(), basket.end());
+    offsets.push_back(ids.size());
+  }
+};
 
 /// A sink that stages each basket in `rows`.
-BasketSink StageInto(Rows* rows) {
+BasketSink StageInto(StagedRows* rows) {
   return [rows](std::vector<ItemId> basket) {
-    rows->push_back(std::move(basket));
+    rows->Add(std::move(basket));
     return Status::OK();
   };
 }
 
-/// Sizes the row store once, after a stream ended cleanly, and moves the
-/// staged rows in. Sizing after the stream, never from a basket mid-stream,
+/// Sizes the row store once, after a stream ended cleanly, and adopts the
+/// staged rows. Sizing after the stream, never from a basket mid-stream,
 /// keeps a corrupt tail from first allocating counts for a huge early id.
-StatusOr<TransactionDatabase> BuildDatabase(Rows rows, ItemId num_items) {
-  TransactionDatabase db(std::max<ItemId>(num_items, 1));
-  for (std::vector<ItemId>& row : rows) {
-    CORRMINE_RETURN_NOT_OK(db.AddBasket(std::move(row)));
+/// Every staged id is below `num_items`.
+TransactionDatabase BuildDatabase(StagedRows rows, ItemId num_items) {
+  num_items = std::max<ItemId>(num_items, 1);
+  std::vector<uint64_t> counts(num_items, 0);
+  for (const ItemId item : rows.ids) ++counts[item];
+  return TransactionDatabase::FromRows(num_items, std::move(rows.offsets),
+                                       std::move(rows.ids), std::move(counts));
+}
+
+/// A read-only file mapping, unmapped on destruction.
+class MappedBytes {
+ public:
+  MappedBytes(void* data, size_t len) : data_(data), len_(len) {}
+  ~MappedBytes() { ::munmap(data_, len_); }
+  MappedBytes(const MappedBytes&) = delete;
+  MappedBytes& operator=(const MappedBytes&) = delete;
+
+  std::string_view view() const {
+    return {static_cast<const char*>(data_), len_};
+  }
+
+ private:
+  void* data_;
+  size_t len_;
+};
+
+/// Maps `path` read-only and decodes it with DecodeBinaryRows. The mapping
+/// is gone when this returns.
+StatusOr<TransactionDatabase> LoadBinaryFile(const std::string& path,
+                                             ThreadPool* pool,
+                                             uint64_t* bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IOError("cannot open " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IOError("cannot stat " + path);
+  }
+  const size_t len = static_cast<size_t>(st.st_size);
+  int flags = MAP_PRIVATE;
+#ifdef MAP_POPULATE
+  flags |= MAP_POPULATE;  // one call maps every page the scan will read
+#endif
+  void* map = ::mmap(nullptr, len, PROT_READ, flags, fd, 0);
+  ::close(fd);  // the mapping keeps the file alive
+  if (map == MAP_FAILED) return Status::IOError("cannot map " + path);
+  *bytes = len;
+  const MappedBytes mapped(map, len);
+  return DecodeBinaryRows(mapped.view(), pool);
+}
+
+/// Phase "io.load" plus its work counters: input bytes decoded and baskets
+/// loaded, both in MetricsRegistry::Global().
+StatusOr<TransactionDatabase> TimedLoad(
+    const std::function<StatusOr<TransactionDatabase>(uint64_t* bytes)>&
+        load) {
+  PhaseScope phase(&MetricsRegistry::Global(), "io.load");
+  uint64_t bytes = 0;
+  auto db = load(&bytes);
+  if (db.ok()) {
+    MetricsRegistry::Global().GetCounter("io.load.bytes")->Add(bytes);
+    MetricsRegistry::Global()
+        .GetCounter("io.load.baskets")
+        ->Add(db->num_baskets());
   }
   return db;
 }
@@ -104,28 +167,52 @@ StatusOr<std::optional<std::vector<ItemId>>> ParseTransactionLine(
 Status StreamTransactionFile(const std::string& path, ItemId* num_items,
                              const BasketSink& sink,
                              uint64_t* bytes_consumed) {
-  TransactionFileFormat format = TransactionFileFormat::kText;
-  return StreamFile(path, &format, num_items, sink, bytes_consumed);
+  CORRMINE_ASSIGN_OR_RETURN(const TransactionFileFormat format,
+                            DetectTransactionFileFormat(path));
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::IOError("cannot open " + path);
+  }
+  return format == TransactionFileFormat::kBinary
+             ? DecodeBinaryTransactionStream(in, num_items, nullptr, sink,
+                                             bytes_consumed)
+             : StreamText(in, num_items, sink, bytes_consumed);
 }
 
 StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
-                                                  ItemId num_items_hint) {
-  PhaseScope phase(&MetricsRegistry::Global(), "io.load");
-  Rows rows;
-  ItemId num_items = 0;
-  TransactionFileFormat format = TransactionFileFormat::kText;
-  CORRMINE_RETURN_NOT_OK(
-      StreamFile(path, &format, &num_items, StageInto(&rows), nullptr));
-  // Binary segment headers are authoritative; the hint floors text only.
-  if (format == TransactionFileFormat::kText) {
-    num_items = std::max(num_items, num_items_hint);
-  }
-  return BuildDatabase(std::move(rows), num_items);
+                                                  ItemId num_items_hint,
+                                                  ThreadPool* pool) {
+  return TimedLoad([&](uint64_t* bytes) -> StatusOr<TransactionDatabase> {
+    CORRMINE_ASSIGN_OR_RETURN(const TransactionFileFormat format,
+                              DetectTransactionFileFormat(path));
+    if (format == TransactionFileFormat::kBinary) {
+      return LoadBinaryFile(path, pool, bytes);
+    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return Status::IOError("cannot open " + path);
+    StagedRows rows;
+    ItemId num_items = 0;
+    CORRMINE_RETURN_NOT_OK(
+        StreamText(in, &num_items, StageInto(&rows), nullptr));
+    std::error_code ec;
+    *bytes = std::filesystem::file_size(path, ec);
+    // Binary segment headers are authoritative; the hint floors text only.
+    return BuildDatabase(std::move(rows), std::max(num_items, num_items_hint));
+  });
+}
+
+StatusOr<TransactionDatabase> LoadNamedTransactionFile(
+    const std::string& path) {
+  return TimedLoad([&](uint64_t* bytes) -> StatusOr<TransactionDatabase> {
+    CORRMINE_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
+    *bytes = text.size();
+    return ParseNamedTransactions(text);
+  });
 }
 
 StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
                                                 ItemId num_items_hint) {
-  Rows rows;
+  StagedRows rows;
   ItemId num_items = 0;
   std::istringstream in(text);
   CORRMINE_RETURN_NOT_OK(
@@ -134,13 +221,8 @@ StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
 }
 
 StatusOr<TransactionDatabase> DecodeBinaryTransactions(
-    const std::string& bytes) {
-  Rows rows;
-  ItemId num_items = 0;
-  std::istringstream in(bytes);
-  CORRMINE_RETURN_NOT_OK(DecodeBinaryTransactionStream(
-      in, &num_items, nullptr, StageInto(&rows)));
-  return BuildDatabase(std::move(rows), num_items);
+    const std::string& bytes, ThreadPool* pool) {
+  return DecodeBinaryRows(bytes, pool);
 }
 
 Status WriteTransactionFile(const TransactionDatabase& db,
@@ -150,7 +232,7 @@ Status WriteTransactionFile(const TransactionDatabase& db,
     return Status::IOError("cannot open " + path + " for writing");
   }
   for (size_t row = 0; row < db.num_baskets(); ++row) {
-    const std::vector<ItemId>& basket = db.basket(row);
+    const std::span<const ItemId> basket = db.basket(row);
     for (size_t i = 0; i < basket.size(); ++i) {
       if (i > 0) file << ' ';
       file << basket[i];
@@ -165,10 +247,10 @@ Status WriteTransactionFile(const TransactionDatabase& db,
 }
 
 StatusOr<TransactionDatabase> ParseNamedTransactions(const std::string& text) {
-  // Two passes: intern the vocabulary, then build the database with the
-  // final item-space size.
+  // Ids are final as soon as a token is interned; only the item space waits
+  // for the last line.
   ItemDictionary dict;
-  std::vector<std::vector<ItemId>> baskets;
+  StagedRows rows;
   std::istringstream stream(text);
   std::string line;
   while (std::getline(stream, line)) {
@@ -178,14 +260,11 @@ StatusOr<TransactionDatabase> ParseNamedTransactions(const std::string& text) {
     for (std::string_view token : SplitString(trimmed)) {
       basket.push_back(dict.GetOrAdd(std::string(token)));
     }
-    baskets.push_back(std::move(basket));
+    rows.Add(std::move(basket));
   }
-  TransactionDatabase db(
-      static_cast<ItemId>(dict.size() == 0 ? 1 : dict.size()));
+  TransactionDatabase db =
+      BuildDatabase(std::move(rows), static_cast<ItemId>(dict.size()));
   db.dictionary() = std::move(dict);
-  for (auto& basket : baskets) {
-    CORRMINE_RETURN_NOT_OK(db.AddBasket(std::move(basket)));
-  }
   return db;
 }
 

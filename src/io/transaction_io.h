@@ -10,13 +10,17 @@
 #include "common/status_or.h"
 #include "itemset/transaction_database.h"
 
+namespace corrmine {
+class ThreadPool;
+}  // namespace corrmine
+
 namespace corrmine::io {
 
 /// The one module that reads transaction files. Every reader below sniffs
-/// or is told the format (io/format_detect.h) and streams it in one pass:
-/// CMB1 binary (possibly chunked) through DecodeBinaryTransactionStream
-/// (io/binary_io.h), text through one line loop. Nothing reads a whole file
-/// into memory first.
+/// or is told the format (io/format_detect.h): CMB1 binary (possibly
+/// chunked) loads through DecodeBinaryRows and streams through
+/// DecodeBinaryTransactionStream (io/binary_io.h), which share one record
+/// decoder; text goes through one line loop.
 
 /// Parses one line of the text transaction format: whitespace-separated
 /// non-negative integer item ids below 2^32-1. Returns nullopt for comment
@@ -46,16 +50,25 @@ Status StreamTransactionFile(
     const std::function<Status(std::vector<ItemId>)>& sink,
     uint64_t* bytes_consumed = nullptr);
 
-/// Loads `path` into one database: StreamTransactionFile into staged rows,
-/// which move into the row store once the whole file decoded, so a corrupt
-/// tail fails before any item space is allocated. Multi-segment binary
-/// files load as the concatenation of their segments. The item space is
-/// the maximum segment header for binary files; for text it is
-/// max(`num_items_hint`, max id + 1, 1). Text lines hold whitespace-separated
-/// ids, blank lines are empty baskets and lines starting with '#' are
-/// comments. Timed as phase "io.load" against MetricsRegistry::Global().
+/// Loads `path` into one database, timed as phase "io.load" against
+/// MetricsRegistry::Global(), which also counts "io.load.bytes" (input bytes
+/// decoded) and "io.load.baskets". CMB1 files are mapped and decoded by
+/// DecodeBinaryRows (io/binary_io.h) in morsels on `pool` (nullable:
+/// inline), and unmapped before this returns; multi-segment files load as
+/// the concatenation of their segments over the maximum segment header.
+/// Text files go through the one text line loop into the same row store:
+/// the item space is max(`num_items_hint`, max id + 1, 1), sized only once
+/// the whole file parsed, so a corrupt tail fails before any item space is
+/// allocated. Text lines hold whitespace-separated ids, blank lines are
+/// empty baskets and lines starting with '#' are comments.
 StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
-                                                  ItemId num_items_hint = 0);
+                                                  ItemId num_items_hint = 0,
+                                                  ThreadPool* pool = nullptr);
+
+/// Loads a named-item text file (ParseNamedTransactions) with the same
+/// phase and counters as LoadTransactionFile.
+StatusOr<TransactionDatabase> LoadNamedTransactionFile(
+    const std::string& path);
 
 /// In-memory readers over the same decoders (used by tests and tooling):
 /// text with the item space sized as for LoadTransactionFile, and CMB1
@@ -63,7 +76,7 @@ StatusOr<TransactionDatabase> LoadTransactionFile(const std::string& path,
 StatusOr<TransactionDatabase> ParseTransactions(const std::string& text,
                                                 ItemId num_items_hint = 0);
 StatusOr<TransactionDatabase> DecodeBinaryTransactions(
-    const std::string& bytes);
+    const std::string& bytes, ThreadPool* pool = nullptr);
 
 /// Writes a database in the transaction-file format.
 Status WriteTransactionFile(const TransactionDatabase& db,

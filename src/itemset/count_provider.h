@@ -116,8 +116,11 @@ class ScanCountProvider : public CountProvider {
 /// schedule yields identical results).
 class BitmapCountProvider : public CountProvider {
  public:
-  /// Builds the vertical index eagerly; `db` may be discarded afterwards.
-  explicit BitmapCountProvider(const TransactionDatabase& db) : index_(db) {}
+  /// Builds the vertical index eagerly, on `pool` when given; `db` may be
+  /// discarded afterwards.
+  explicit BitmapCountProvider(const TransactionDatabase& db,
+                               ThreadPool* pool = nullptr)
+      : index_(db, pool) {}
 
   /// Catches the index up with rows appended to `db` since construction
   /// (or the last AppendFrom). The bitmaps grow in place — no rebuild — and

@@ -1,11 +1,14 @@
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+#include "datagen/rng.h"
 #include "io/binary_io.h"
 #include "io/chunked_io.h"
 #include "io/format_detect.h"
@@ -14,6 +17,8 @@
 
 namespace corrmine::io {
 namespace {
+
+using corrmine::testing::Row;
 
 std::string WriteTempFile(const std::string& name, const std::string& bytes) {
   const std::string path = ::testing::TempDir() + "/" + name;
@@ -27,16 +32,52 @@ Status StreamAll(const std::string& path, ItemId* num_items) {
 }
 
 /// Every reader of a transaction file must reject `bytes` with exactly
-/// `expected` (a Corruption status rendered by ToString).
+/// `expected` (a Corruption status rendered by ToString): the streaming
+/// decoder, the chunk walker, and the morsel loader inline and at 4 threads.
 void ExpectRejectedEverywhere(const std::string& bytes,
                               const std::string& expected) {
+  ThreadPool pool(3);
   EXPECT_EQ(DecodeBinaryTransactions(bytes).status().ToString(), expected);
+  EXPECT_EQ(DecodeBinaryTransactions(bytes, &pool).status().ToString(),
+            expected);
   EXPECT_EQ(ListTransactionChunks(bytes).status().ToString(), expected);
   const std::string path = WriteTempFile("corrmine_rejected.bin", bytes);
   EXPECT_EQ(LoadTransactionFile(path).status().ToString(), expected);
+  EXPECT_EQ(LoadTransactionFile(path, 0, &pool).status().ToString(),
+            expected);
   ItemId num_items = 0;
   EXPECT_EQ(StreamAll(path, &num_items).ToString(), expected);
   std::remove(path.c_str());
+}
+
+/// Three CMB1 segments whose item spaces widen and then narrow (40, 5000,
+/// 300), so ids take one or two varint bytes. Each segment spans several
+/// decode morsels of 2048 baskets, the middle one exactly one. `wide` adds a
+/// fourth segment over 2^20 items: more items than ids in the file, where
+/// the loader counts items in one pass over the ids instead of per slot.
+std::string RandomChunkedBytes(uint64_t seed, bool wide = false) {
+  datagen::Rng rng(seed);
+  std::string bytes;
+  std::vector<std::pair<ItemId, size_t>> shapes = {
+      {40, 4500}, {5000, 2048}, {300, 5001}};
+  if (wide) shapes.emplace_back(ItemId{1} << 20, 3000);
+  for (const auto& [num_items, num_baskets] : shapes) {
+    TransactionDatabase segment(num_items);
+    for (size_t b = 0; b < num_baskets; ++b) {
+      std::vector<ItemId> basket(rng.NextBelow(13));
+      for (ItemId& item : basket) {
+        item = static_cast<ItemId>(rng.NextBelow(num_items));
+      }
+      EXPECT_TRUE(segment.AddBasket(std::move(basket)).ok());
+    }
+    bytes += EncodeBinaryTransactions(segment);
+  }
+  return bytes;
+}
+
+/// A pool for `threads` participants (the caller is one); none for 1.
+std::unique_ptr<ThreadPool> PoolFor(int threads) {
+  return threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
 }
 
 TEST(BinaryIoTest, EncodeDecodeRoundTrip) {
@@ -47,7 +88,7 @@ TEST(BinaryIoTest, EncodeDecodeRoundTrip) {
   ASSERT_EQ(decoded->num_baskets(), db.num_baskets());
   EXPECT_EQ(decoded->num_items(), db.num_items());
   for (size_t row = 0; row < db.num_baskets(); ++row) {
-    EXPECT_EQ(decoded->basket(row), db.basket(row)) << "row " << row;
+    EXPECT_EQ(Row(*decoded, row), Row(db, row)) << "row " << row;
   }
 }
 
@@ -60,7 +101,7 @@ TEST(BinaryIoTest, EmptyBasketsAndEmptyDatabase) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->num_baskets(), 3u);
   EXPECT_TRUE(decoded->basket(0).empty());
-  EXPECT_EQ(decoded->basket(1), (std::vector<ItemId>{4}));
+  EXPECT_EQ(Row(*decoded, 1), (std::vector<ItemId>{4}));
 
   TransactionDatabase empty(7);
   auto decoded_empty =
@@ -137,7 +178,7 @@ TEST(BinaryIoTest, MaxItemIdsRoundTrip) {
   EXPECT_EQ(decoded->num_items(), num_items);
   ASSERT_EQ(decoded->num_baskets(), db.num_baskets());
   for (size_t row = 0; row < db.num_baskets(); ++row) {
-    EXPECT_EQ(decoded->basket(row), db.basket(row)) << "row " << row;
+    EXPECT_EQ(Row(*decoded, row), Row(db, row)) << "row " << row;
   }
 }
 
@@ -177,7 +218,7 @@ TEST(BinaryIoTest, StreamingDecodeMatchesMaterialized) {
   EXPECT_EQ(consumed, EncodeBinaryTransactions(db).size());
   ASSERT_EQ(streamed.size(), db.num_baskets());
   for (size_t row = 0; row < db.num_baskets(); ++row) {
-    EXPECT_EQ(streamed[row], db.basket(row)) << "row " << row;
+    EXPECT_EQ(streamed[row], Row(db, row)) << "row " << row;
   }
 
   // A sink error aborts the stream and propagates unchanged.
@@ -190,6 +231,108 @@ TEST(BinaryIoTest, StreamingDecodeMatchesMaterialized) {
   EXPECT_EQ(aborted.ToString(), "Internal: sink full");
   EXPECT_EQ(seen, 3u);
   std::remove(path.c_str());
+}
+
+// The morsel loader against the streaming decoder, which shares only the
+// record rules with it: same rows, item counts and item space at 1, 2 and 4
+// threads, from a file and from memory.
+TEST(BinaryIoTest, ParallelLoadMatchesStreamingDecoder) {
+  for (const uint64_t seed : {1, 2, 3, 4}) {
+    const bool wide = seed == 4;
+    const std::string bytes = RandomChunkedBytes(seed, wide);
+    const std::string path = WriteTempFile("corrmine_parallel.bin", bytes);
+    ItemId streamed_items = 0;
+    std::vector<std::vector<ItemId>> streamed;
+    ASSERT_TRUE(StreamTransactionFile(path, &streamed_items,
+                                      [&](std::vector<ItemId> basket) {
+                                        streamed.push_back(std::move(basket));
+                                        return Status::OK();
+                                      })
+                    .ok());
+    ASSERT_EQ(streamed_items, wide ? ItemId{1} << 20 : 5000u);
+    std::vector<uint64_t> counts(streamed_items, 0);
+    for (const std::vector<ItemId>& row : streamed) {
+      for (const ItemId item : row) ++counts[item];
+    }
+
+    for (const int threads : {1, 2, 4}) {
+      std::unique_ptr<ThreadPool> pool = PoolFor(threads);
+      auto loaded = LoadTransactionFile(path, 0, pool.get());
+      auto decoded = DecodeBinaryTransactions(bytes, pool.get());
+      for (auto* db : {&loaded, &decoded}) {
+        ASSERT_TRUE(db->ok()) << db->status().ToString();
+        const TransactionDatabase& rows = **db;
+        EXPECT_EQ(rows.num_items(), streamed_items);
+        ASSERT_EQ(rows.num_baskets(), streamed.size());
+        for (size_t row = 0; row < streamed.size(); ++row) {
+          ASSERT_EQ(Row(rows, row), streamed[row])
+              << "seed " << seed << " threads " << threads << " row " << row;
+        }
+        for (ItemId item = 0; item < streamed_items; ++item) {
+          ASSERT_EQ(rows.ItemCount(item), counts[item]) << "item " << item;
+        }
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Corrupt bytes anywhere — in a header, mid-morsel, in the last morsel, in a
+// later segment, one byte or two — and every reader, the 4-thread loader
+// included, must give the streaming decoder's verdict: its exact Status, or
+// the same rows when the change still decodes.
+TEST(BinaryIoTest, CorruptBytesGetTheStreamingVerdictAtFourThreads) {
+  const std::string bytes = RandomChunkedBytes(7);
+  auto chunks = ListTransactionChunks(bytes);
+  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+  ASSERT_EQ(chunks->size(), 3u);
+  datagen::Rng rng(11);
+  std::vector<std::vector<size_t>> edits = {
+      {(*chunks)[1].offset}, {(*chunks)[2].offset + 4}, {bytes.size() - 1}};
+  for (int i = 0; i < 24; ++i) edits.push_back({rng.NextBelow(bytes.size())});
+  for (int i = 0; i < 12; ++i) {
+    edits.push_back({bytes.size() - 1 - rng.NextBelow(2000)});
+  }
+  for (int i = 0; i < 12; ++i) {
+    edits.push_back(
+        {rng.NextBelow(bytes.size()), rng.NextBelow(bytes.size())});
+  }
+  ThreadPool pool(3);
+  const std::string path = ::testing::TempDir() + "/corrmine_flipped.bin";
+  size_t rejected = 0;
+  for (size_t e = 0; e < edits.size(); ++e) {
+    std::string corrupt = bytes;
+    for (const size_t at : edits[e]) {
+      // Alternate a zero byte (a repeated item when it lands on a delta)
+      // with a random flip.
+      corrupt[at] = e % 2 == 0 ? '\0'
+                               : static_cast<char>(corrupt[at] ^
+                                                   (1 + rng.NextBelow(255)));
+    }
+    ASSERT_TRUE(WriteStringToFile(corrupt, path).ok());
+    ItemId num_items = 0;
+    std::vector<std::vector<ItemId>> streamed;
+    const Status reference = StreamTransactionFile(
+        path, &num_items, [&](std::vector<ItemId> basket) {
+          streamed.push_back(std::move(basket));
+          return Status::OK();
+        });
+    if (!reference.ok()) {
+      ++rejected;
+      ExpectRejectedEverywhere(corrupt, reference.ToString());
+      continue;
+    }
+    auto loaded = LoadTransactionFile(path, 0, &pool);
+    ASSERT_TRUE(loaded.ok()) << "edit " << e << ": "
+                             << loaded.status().ToString();
+    EXPECT_EQ(loaded->num_items(), num_items);
+    ASSERT_EQ(loaded->num_baskets(), streamed.size());
+    for (size_t row = 0; row < streamed.size(); ++row) {
+      ASSERT_EQ(Row(*loaded, row), streamed[row]) << "edit " << e;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GE(rejected, edits.size() / 2);
 }
 
 TEST(BinaryIoTest, RejectsOutOfRangeItems) {
@@ -283,7 +426,7 @@ TEST(BinaryIoTest, WrappingItemDeltaIsCorruption) {
   std::string fits = "CMB1\x0a\x01\x02\x05\x04";
   auto decoded = DecodeBinaryTransactions(fits);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->basket(0), (std::vector<ItemId>{5, 9}));
+  EXPECT_EQ(Row(*decoded, 0), (std::vector<ItemId>{5, 9}));
   fits.back() = '\x05';
   ExpectRejectedEverywhere(fits, "Corruption: item id out of range");
 }
@@ -322,7 +465,7 @@ TEST(BinaryIoTest, ChunkedFileLoadsListsAndRetires) {
   std::vector<std::vector<ItemId>> expected_rows;
   for (const TransactionDatabase& segment : segments) {
     for (size_t row = 0; row < segment.num_baskets(); ++row) {
-      expected_rows.push_back(segment.basket(row));
+      expected_rows.push_back(Row(segment, row));
     }
   }
   const std::string path = ::testing::TempDir() + "/corrmine_chunked.bin";
@@ -336,7 +479,7 @@ TEST(BinaryIoTest, ChunkedFileLoadsListsAndRetires) {
   EXPECT_EQ(loaded->num_items(), 16u);
   ASSERT_EQ(loaded->num_baskets(), expected_rows.size());
   for (size_t row = 0; row < expected_rows.size(); ++row) {
-    EXPECT_EQ(loaded->basket(row), expected_rows[row]) << "row " << row;
+    EXPECT_EQ(Row(*loaded, row), expected_rows[row]) << "row " << row;
   }
 
   ItemId streamed_items = 0;
@@ -357,7 +500,7 @@ TEST(BinaryIoTest, ChunkedFileLoadsListsAndRetires) {
   EXPECT_EQ(decoded->num_items(), 16u);
   ASSERT_EQ(decoded->num_baskets(), expected_rows.size());
   for (size_t row = 0; row < expected_rows.size(); ++row) {
-    EXPECT_EQ(decoded->basket(row), expected_rows[row]) << "row " << row;
+    EXPECT_EQ(Row(*decoded, row), expected_rows[row]) << "row " << row;
   }
   auto chunks = ListTransactionChunks(*bytes);
   ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
@@ -404,7 +547,7 @@ TEST(BinaryIoTest, ChunkedFileLoadsListsAndRetires) {
   EXPECT_EQ(retired->num_items(), 16u);
   ASSERT_EQ(retired->num_baskets(), 4u);
   for (size_t row = 0; row < 4; ++row) {
-    EXPECT_EQ(retired->basket(row), expected_rows[row + 3]) << "row " << row;
+    EXPECT_EQ(Row(*retired, row), expected_rows[row + 3]) << "row " << row;
   }
   EXPECT_FALSE(RetireOldestTransactionChunks(path, 2).ok());
   std::remove(path.c_str());

@@ -5,6 +5,7 @@
 
 #include "datagen/census_generator.h"
 #include "itemset/count_provider.h"
+#include "test_util.h"
 
 namespace corrmine::datagen {
 namespace {
@@ -121,7 +122,7 @@ TEST(CensusGeneratorTest, DeterministicForSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (size_t i = 0; i < 500; ++i) {
-    EXPECT_EQ(a->basket(i), b->basket(i));
+    EXPECT_EQ(testing::Row(*a, i), testing::Row(*b, i));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include "datagen/quest_generator.h"
 #include "datagen/rng.h"
+#include "test_util.h"
 
 namespace corrmine::datagen {
 namespace {
@@ -93,7 +94,7 @@ TEST(QuestGeneratorTest, DeterministicForSeed) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->num_baskets(), b->num_baskets());
   for (size_t i = 0; i < a->num_baskets(); ++i) {
-    EXPECT_EQ(a->basket(i), b->basket(i)) << "basket " << i;
+    EXPECT_EQ(testing::Row(*a, i), testing::Row(*b, i)) << "basket " << i;
   }
 }
 
@@ -110,7 +111,7 @@ TEST(QuestGeneratorTest, DifferentSeedsDiffer) {
   ASSERT_TRUE(b.ok());
   int differing = 0;
   for (size_t i = 0; i < 200; ++i) {
-    if (a->basket(i) != b->basket(i)) ++differing;
+    if (testing::Row(*a, i) != testing::Row(*b, i)) ++differing;
   }
   EXPECT_GT(differing, 100);
 }

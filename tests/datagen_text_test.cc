@@ -3,6 +3,7 @@
 #include "core/chi_squared_test.h"
 #include "datagen/text_generator.h"
 #include "itemset/count_provider.h"
+#include "test_util.h"
 
 namespace corrmine::datagen {
 namespace {
@@ -97,7 +98,7 @@ TEST(TextGeneratorTest, DeterministicForSeed) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->database.num_baskets(), b->database.num_baskets());
   for (size_t i = 0; i < a->database.num_baskets(); ++i) {
-    EXPECT_EQ(a->database.basket(i), b->database.basket(i));
+    EXPECT_EQ(testing::Row(a->database, i), testing::Row(b->database, i));
   }
 }
 

@@ -22,6 +22,7 @@
 #include "mining/apriori.h"
 #include "mining/eclat.h"
 #include "mining/fp_growth.h"
+#include "test_util.h"
 
 namespace corrmine {
 namespace {
@@ -47,7 +48,7 @@ void BruteForceExtend(const TransactionDatabase& db, uint64_t min_count,
     Itemset candidate = prefix.WithItem(item);
     uint64_t count = 0;
     for (size_t row = 0; row < db.num_baskets(); ++row) {
-      const std::vector<ItemId>& basket = db.basket(row);
+      const std::span<const ItemId> basket = db.basket(row);
       bool all = true;
       for (size_t j = 0; j < candidate.size(); ++j) {
         if (!std::binary_search(basket.begin(), basket.end(),

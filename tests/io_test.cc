@@ -18,13 +18,15 @@
 namespace corrmine::io {
 namespace {
 
+using corrmine::testing::Row;
+
 TEST(TransactionIoTest, ParsesIdsAndComments) {
   auto db = ParseTransactions("# header\n1 2 3\n\n0 2\n");
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db->num_baskets(), 3u);  // Blank line = empty basket.
-  EXPECT_EQ(db->basket(0), (std::vector<ItemId>{1, 2, 3}));
+  EXPECT_EQ(Row(*db, 0), (std::vector<ItemId>{1, 2, 3}));
   EXPECT_TRUE(db->basket(1).empty());
-  EXPECT_EQ(db->basket(2), (std::vector<ItemId>{0, 2}));
+  EXPECT_EQ(Row(*db, 2), (std::vector<ItemId>{0, 2}));
   EXPECT_EQ(db->num_items(), 4u);
 }
 
@@ -39,7 +41,7 @@ TEST(TransactionIoTest, UnsortedBasketSizesItemSpaceByItsMax) {
   auto db = ParseTransactions("7 2\n1\n");
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   EXPECT_EQ(db->num_items(), 8u);
-  EXPECT_EQ(db->basket(0), (std::vector<ItemId>{2, 7}));
+  EXPECT_EQ(Row(*db, 0), (std::vector<ItemId>{2, 7}));
   auto empty = ParseTransactions("# only a comment\n");
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->num_items(), 1u);
@@ -63,7 +65,7 @@ TEST(TransactionIoTest, FileRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->num_baskets(), db.num_baskets());
   for (size_t i = 0; i < db.num_baskets(); ++i) {
-    EXPECT_EQ(loaded->basket(i), db.basket(i));
+    EXPECT_EQ(Row(*loaded, i), Row(db, i));
   }
   std::remove(path.c_str());
 }

@@ -1,3 +1,6 @@
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "itemset/bitmap.h"
@@ -145,8 +148,46 @@ TEST(TransactionDatabaseTest, CountsAndMarginals) {
 TEST(TransactionDatabaseTest, BasketsAreSortedAndDeduped) {
   TransactionDatabase db(5);
   ASSERT_TRUE(db.AddBasket({4, 2, 2, 0}).ok());
-  EXPECT_EQ(db.basket(0), (std::vector<ItemId>{0, 2, 4}));
+  EXPECT_EQ(testing::Row(db, 0), (std::vector<ItemId>{0, 2, 4}));
   EXPECT_EQ(db.ItemCount(2), 1u);  // Duplicate didn't double count.
+}
+
+// A span is copied as is when strictly increasing and sorted and
+// deduplicated otherwise; a row of the database itself can be appended
+// again while the row store reallocates under it.
+TEST(TransactionDatabaseTest, AddsSpansIncludingItsOwnRows) {
+  TransactionDatabase db(6);
+  const std::vector<ItemId> unsorted = {5, 1, 5, 3};
+  ASSERT_TRUE(db.AddBasket(std::span<const ItemId>(unsorted)).ok());
+  EXPECT_EQ(testing::Row(db, 0), (std::vector<ItemId>{1, 3, 5}));
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(db.AddBasket(db.basket(0)).ok());
+  ASSERT_EQ(db.num_baskets(), 101u);
+  EXPECT_EQ(testing::Row(db, 100), (std::vector<ItemId>{1, 3, 5}));
+  EXPECT_EQ(db.ItemCount(3), 101u);
+  EXPECT_EQ(db.TotalItemOccurrences(), 303u);
+  EXPECT_EQ(db.RowStoreBytes(), 102u * 8 + 303u * 4);
+}
+
+// Copies carry spare row-store capacity; they must still hold exactly the
+// source's rows, counts and names, and take appends independently.
+TEST(TransactionDatabaseTest, CopiesAreIndependent) {
+  auto db = testing::MakeDatabase(4, {{0, 2}, {1}, {}});
+  db.dictionary().GetOrAdd("tea");
+  TransactionDatabase copy = db;
+  ASSERT_TRUE(copy.AddBasket({3}).ok());
+  ASSERT_EQ(db.num_baskets(), 3u);
+  ASSERT_EQ(copy.num_baskets(), 4u);
+  for (size_t row = 0; row < 3; ++row) {
+    EXPECT_EQ(testing::Row(copy, row), testing::Row(db, row));
+  }
+  EXPECT_EQ(testing::Row(copy, 3), (std::vector<ItemId>{3}));
+  EXPECT_EQ(copy.ItemCount(3), 1u);
+  EXPECT_EQ(db.ItemCount(3), 0u);
+  EXPECT_EQ(copy.dictionary().names(), db.dictionary().names());
+  copy = db;
+  EXPECT_EQ(copy.num_baskets(), 3u);
+  EXPECT_EQ(copy.TotalItemOccurrences(), db.TotalItemOccurrences());
+  EXPECT_EQ(copy.RowStoreBytes(), db.RowStoreBytes());
 }
 
 TEST(TransactionDatabaseTest, RejectsOutOfRangeItems) {

@@ -140,6 +140,25 @@ TEST(MiningSessionTest, OpenTimesLoadAndIndexBuildOnce) {
   std::remove(named_path.c_str());
 }
 
+// mem.rows_bytes is the CSR row store: one u64 offset per basket plus one,
+// and one u32 per (basket, item) pair.
+TEST(MiningSessionTest, PublishesRowStoreBytes) {
+  if constexpr (!kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  MetricsRegistry registry;
+  SessionOptions options;
+  options.metrics = &registry;
+  auto session = MiningSession::FromDatabase(
+      testing::MakeDatabase(5, {{0, 1}, {2}, {}, {1, 3, 4}}), options);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session->Mine(TestMinerOptions()).ok());
+  EXPECT_EQ(registry.GetGauge("mem.rows_bytes")->Value(), 5 * 8 + 6 * 4);
+
+  // An append refreshes it: two more offsets, three more ids.
+  ASSERT_TRUE(
+      session->AppendBatch(testing::MakeDatabase(5, {{4}, {0, 2}})).ok());
+  EXPECT_EQ(registry.GetGauge("mem.rows_bytes")->Value(), 7 * 8 + 9 * 4);
+}
+
 TEST(MiningSessionTest, FrequentMinersAgreeWithMonolithicBaseline) {
   TransactionDatabase db = SeededQuest(1997);
   BitmapCountProvider provider(db);

@@ -141,3 +141,50 @@ if(METRICS)
     endif()
   endforeach()
 endif()
+
+# io.load.bytes and io.load.baskets are the load's work counters: the whole
+# input file and every basket in it, the same at any --threads. The CMB1
+# fixture spans several decode morsels, so --threads 4 decodes in parallel.
+if(METRICS)
+  execute_process(
+    COMMAND ${CLI} generate quest --baskets 6000 --format binary
+            --out ${WORKDIR}/stats_load.bin
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "generate --format binary failed: ${rc}")
+  endif()
+  file(SIZE ${WORKDIR}/stats_load.bin load_file_bytes)
+  foreach(threads 1 4)
+    execute_process(
+      COMMAND ${CLI} mine ${WORKDIR}/stats_load.bin
+              --support-count 600 --cell-fraction 0.26 --max-level 2
+              --threads ${threads}
+              --stats-json ${WORKDIR}/stats_load_t${threads}.json
+      RESULT_VARIABLE rc OUTPUT_QUIET)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "load mine --threads ${threads} failed: ${rc}")
+    endif()
+    file(READ ${WORKDIR}/stats_load_t${threads}.json doc)
+    foreach(counter bytes baskets)
+      string(REGEX MATCH "\"io\\.load\\.${counter}\":([0-9]+)" found "${doc}")
+      if(NOT found)
+        message(FATAL_ERROR "stats json lacks io.load.${counter}:\n${doc}")
+      endif()
+      set(load_${counter}_t${threads} ${CMAKE_MATCH_1})
+    endforeach()
+  endforeach()
+  if(NOT load_bytes_t1 EQUAL load_file_bytes)
+    message(FATAL_ERROR "io.load.bytes is ${load_bytes_t1}, expected the "
+                        "input file's ${load_file_bytes} bytes")
+  endif()
+  if(NOT load_baskets_t1 EQUAL 6000)
+    message(FATAL_ERROR "io.load.baskets is ${load_baskets_t1}, expected 6000")
+  endif()
+  foreach(counter bytes baskets)
+    if(NOT load_${counter}_t1 EQUAL load_${counter}_t4)
+      message(FATAL_ERROR
+              "io.load.${counter} moved with --threads: "
+              "${load_${counter}_t1} at 1, ${load_${counter}_t4} at 4")
+    endif()
+  endforeach()
+endif()

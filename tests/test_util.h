@@ -2,6 +2,7 @@
 #define CORRMINE_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -9,6 +10,12 @@
 #include "itemset/transaction_database.h"
 
 namespace corrmine::testing {
+
+/// Row `i` of `db` as a vector, so EXPECT_EQ can compare and print it.
+inline std::vector<ItemId> Row(const TransactionDatabase& db, size_t i) {
+  const std::span<const ItemId> row = db.basket(i);
+  return {row.begin(), row.end()};
+}
 
 /// Builds a database from explicit baskets; aborts on invalid input so test
 /// setup failures are loud.
